@@ -70,6 +70,11 @@ def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
     return [(_tri_record(a), _tri_record(b)) for a, b in pairs]
 
 
+def _rect_count(max_side: int) -> int:
+    """Canonical rectangles with both sides <= max_side."""
+    return max_side * (max_side + 1) // 2
+
+
 # --- output ----------------------------------------------------------------
 
 
@@ -159,14 +164,9 @@ def cmd_rect_oracle(max_side: int, fmt: str) -> int:
         return EXIT_USAGE
     start = time.perf_counter()
     pairs = rectangles.brute_force_pairs(max_side)
-    scanned = [
-        _rect_record(RectSides(a, b))
-        for a in range(1, max_side + 1)
-        for b in range(a, max_side + 1)
-    ]
     report = assemble_report(
-        "rectangles", max_side, scanned, _rect_pair_records(pairs),
-        elapsed=time.perf_counter() - start,
+        "rectangles", max_side, [], _rect_pair_records(pairs),
+        elapsed=time.perf_counter() - start, shapes_scanned=_rect_count(max_side),
     )
     _emit_report(report, fmt)
     return EXIT_OK
@@ -215,7 +215,7 @@ def cmd_tri_search(max_perimeter: int, fmt: str) -> int:
         return EXIT_USAGE
     start = time.perf_counter()
     found = triangles.enumerate_heronian(max_perimeter)
-    pairs = triangles.find_amicable_triangle_pairs(max_perimeter)
+    pairs = triangles.match_amicable_triangles(found)
     report = assemble_report(
         "triangles", max_perimeter, [_tri_record(h) for h in found],
         _tri_pair_records(pairs), elapsed=time.perf_counter() - start,
@@ -326,15 +326,15 @@ def _verification_checks():
 
     rect_pairs = rectangles.enumerate_by_divisors()
     oracle_pairs = rectangles.brute_force_pairs(DEFAULTS.rect_max_side)
-    rect_count = DEFAULTS.rect_max_side * (DEFAULTS.rect_max_side + 1) // 2
+    rect_count = _rect_count(DEFAULTS.rect_max_side)
     checks.append(("rect-divisor-enumeration-matches-oracle", rect_pairs == oracle_pairs))
     as_tuples = [
         ((p.first.short, p.first.long), (p.second.short, p.second.long)) for p in rect_pairs
     ]
     checks.append(("rect-pairs-are-the-known-five", tuple(as_tuples) == THE_FIVE_RECT_PAIRS))
 
-    tri_pairs = triangles.find_amicable_triangle_pairs(DEFAULTS.tri_max_perimeter)
-    tri_scanned = len(triangles.enumerate_heronian(DEFAULTS.tri_max_perimeter))
+    heronian = triangles.enumerate_heronian(DEFAULTS.tri_max_perimeter)
+    tri_pairs = triangles.match_amicable_triangles(heronian)
     tri_tuples = [(a.sides.as_tuple(), b.sides.as_tuple()) for a, b in tri_pairs]
     checks.append(("tri-search-finds-single-known-pair", tri_tuples == [THE_TRIANGLE_PAIR]))
     checks.append(
@@ -376,7 +376,7 @@ def _verification_checks():
         )
     )
 
-    equable_tris = triangles.find_equable_triangles(DEFAULTS.rect_max_side)
+    equable_tris = [h for h in heronian if h.area == h.perimeter()]
     tris_in_pairs = {h for pair in tri_pairs for h in pair}
     checks.append(
         (
@@ -388,7 +388,7 @@ def _verification_checks():
     )
 
     pair_records = _rect_pair_records(rect_pairs) + _tri_pair_records(tri_pairs)
-    return checks, pair_records, rect_count + tri_scanned
+    return checks, pair_records, rect_count + len(heronian)
 
 
 def cmd_verify_all(fmt: str) -> int:

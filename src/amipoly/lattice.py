@@ -51,7 +51,7 @@ class LatticePoint:
     y: int
 
     def __post_init__(self):
-        if not isinstance(self.x, int) or not isinstance(self.y, int):
+        if type(self.x) is not int or type(self.y) is not int:
             raise TypeError("lattice coordinates must be integers")
 
     def __add__(self, other: "LatticePoint") -> "LatticePoint":

@@ -197,22 +197,39 @@ def assemble_report(
     )
 
 
+def _exact_int(value, what: str) -> int:
+    """value itself when it is an int; bools, floats and strings are not read as one."""
+    if type(value) is not int:
+        raise CertificateError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
 def _record_from_dict(d: dict, family: str) -> ShapeRecord:
     rec = ShapeRecord(
         family=family,
-        sides=tuple(int(s) for s in d["sides"]),
-        area=int(d["area"]),
-        perimeter=int(d["perimeter"]),
+        sides=tuple(_exact_int(s, "side") for s in d["sides"]),
+        area=_exact_int(d["area"], "area"),
+        perimeter=_exact_int(d["perimeter"], "perimeter"),
     )
     _verify_record(rec)
     return rec
 
 
 def report_from_dict(d: dict) -> SearchReport:
-    """Rebuild a SearchReport from its canonical dictionary, re-verifying certificates."""
+    """Rebuild a SearchReport from its canonical dictionary, re-verifying certificates.
+
+    Every number must already be an int: a value that int() would coerce,
+    such as 34.9 or True, is rejected with CertificateError.
+    """
     family = d["family"]
     if family not in FAMILIES:
         raise CertificateError(f"unknown family: {family!r}")
+    shapes_scanned = _exact_int(d["shapes_scanned"], "shapes_scanned")
+    if shapes_scanned < 0:
+        raise CertificateError(f"shapes_scanned must be non-negative, got {shapes_scanned}")
+    bound = d["bound"]
+    if bound is not None:
+        _exact_int(bound, "bound")
 
     def member_family(shape_dict: dict) -> str:
         if family != "verification":
@@ -233,8 +250,8 @@ def report_from_dict(d: dict) -> SearchReport:
     )
     return SearchReport(
         family=family,
-        bound=d["bound"],
-        shapes_scanned=int(d["shapes_scanned"]),
+        bound=bound,
+        shapes_scanned=shapes_scanned,
         pairs=tuple(pairs),
         shapes=shapes,
         checks=checks,

@@ -199,27 +199,28 @@ def enumerate_by_divisors() -> list[RectAmicablePair]:
 
 
 def brute_force_pairs(max_side: int) -> list[RectAmicablePair]:
-    """Definition-only oracle: scan every canonical rectangle with sides <= max_side.
+    """Definition-only oracle: all pairs among rectangles with sides <= max_side.
 
     Rectangles are matched purely on the cross equalities (area of one equals
     perimeter of the other, both ways); no dominance or divisor reasoning is
-    used, so this is an independent check of enumerate_by_divisors.
+    used, so this is an independent check of enumerate_by_divisors.  Only
+    rectangles with area <= 4*max_side are keyed: a pair member's area is its
+    partner's perimeter, which is at most 4*max_side.
     """
     if max_side < 1:
         raise ValueError(f"max_side must be positive, got {max_side}")
-    rects = [
-        RectSides(a, b)
-        for a in range(1, max_side + 1)
-        for b in range(a, max_side + 1)
-    ]
-    by_key: dict[tuple[int, int], list[RectSides]] = {}
-    for r in rects:
-        by_key.setdefault((r.area(), r.perimeter()), []).append(r)
+    max_area = 4 * max_side
+    # sides are the roots of t^2 - (perimeter/2)*t + area, so a key names
+    # at most one rectangle
+    by_key: dict[tuple[int, int], tuple[int, int]] = {}
+    for a in range(1, max_side + 1):
+        for b in range(a, min(max_side, max_area // a) + 1):
+            by_key[(a * b, 2 * (a + b))] = (a, b)
     pairs = set()
-    for r in rects:
-        for t in by_key.get((r.perimeter(), r.area()), ()):
-            if t != r:
-                pairs.add(RectAmicablePair.of(r, t))
+    for (area, perimeter), r in by_key.items():
+        t = by_key.get((perimeter, area))
+        if t is not None and t != r:
+            pairs.add(RectAmicablePair.of(RectSides(*r), RectSides(*t)))
     return sorted(pairs)
 
 

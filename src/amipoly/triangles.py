@@ -1,8 +1,8 @@
 """Triangles with integer sides and integer area, and their lattice placements.
 
-Enumeration is deliberately transparent: iterate all canonical side triples,
-keep the ones whose 16*Area^2 is a perfect square with integer area, and
-match amicable partners by an (area, perimeter) fingerprint join.  Lattice
+Enumeration scans canonical side triples of even perimeter in plain
+integers, keeps the ones whose 16*Area^2 is a perfect square, and matches
+amicable partners by an (area, perimeter) fingerprint join.  Lattice
 embeddings are found by completing two sum-of-two-squares representations.
 """
 
@@ -27,6 +27,7 @@ __all__ = [
     "sixteen_area_sq",
     "as_heronian",
     "enumerate_heronian",
+    "match_amicable_triangles",
     "find_amicable_triangle_pairs",
     "find_equable_triangles",
     "sum_two_squares_reps",
@@ -104,31 +105,42 @@ def as_heronian(t: TriangleSides) -> HeronianTriangle | None:
 
 
 def enumerate_heronian(max_perimeter: int) -> list[HeronianTriangle]:
-    """All heronian triangles with perimeter <= max_perimeter, sorted by (perimeter, a, b)."""
+    """All heronian triangles with perimeter <= max_perimeter, sorted by (perimeter, a, b).
+
+    The scan runs over plain integers and certifies a record only for hits.
+    With s = a + b and d = b - a, Heron's product is (s^2 - c^2)(c^2 - d^2).
+    c steps by 2 with the parity of s: an odd perimeter makes every factor
+    odd, so 16*Area^2 is odd and the area cannot be an integer.  At even
+    perimeter every factor is even, so a square product has a root divisible
+    by 4, and root // 4 is the area.
+    """
     if max_perimeter < 3:
         raise ValueError(f"max_perimeter must be at least 3, got {max_perimeter}")
     found = []
     for a in range(1, max_perimeter // 3 + 1):
         for b in range(a, (max_perimeter - a) // 2 + 1):
-            for c in range(b, min(a + b - 1, max_perimeter - a - b) + 1):
-                h = as_heronian(TriangleSides(a, b, c))
-                if h is not None:
-                    found.append(h)
+            s = a + b
+            s_sq, d_sq = s * s, (b - a) * (b - a)
+            for c in range(b + a % 2, min(s - 1, max_perimeter - s) + 1, 2):
+                c_sq = c * c
+                v = (s_sq - c_sq) * (c_sq - d_sq)
+                root = isqrt(v)
+                if root * root == v:
+                    found.append(HeronianTriangle(TriangleSides(a, b, c), root // 4))
     found.sort(key=lambda h: (h.perimeter(), h.sides.a, h.sides.b))
     return found
 
 
-def find_amicable_triangle_pairs(
-    max_perimeter: int,
+def match_amicable_triangles(
+    triangles: list[HeronianTriangle],
 ) -> list[tuple[HeronianTriangle, HeronianTriangle]]:
-    """Unordered pairs of distinct heronian triangles with crossed area/perimeter.
+    """Unordered pairs of distinct triangles in the list with crossed area/perimeter.
 
     The match is a fingerprint join: triangles indexed by (area, perimeter)
     are probed with the reversed key, so the search stays linear in the
     number of triangles.  Every emitted pair is re-verified against the
     definition, independently of the join.
     """
-    triangles = enumerate_heronian(max_perimeter)
     by_key: dict[tuple[int, int], list[HeronianTriangle]] = {}
     for h in triangles:
         by_key.setdefault((h.area, h.perimeter()), []).append(h)
@@ -141,6 +153,13 @@ def find_amicable_triangle_pairs(
                 raise AssertionError(f"fingerprint join produced a bad pair: {h}, {g}")
             pairs.add((min(h, g), max(h, g)))
     return sorted(pairs)
+
+
+def find_amicable_triangle_pairs(
+    max_perimeter: int,
+) -> list[tuple[HeronianTriangle, HeronianTriangle]]:
+    """Amicable pairs among the heronian triangles with perimeter <= max_perimeter."""
+    return match_amicable_triangles(enumerate_heronian(max_perimeter))
 
 
 def find_equable_triangles(max_perimeter: int) -> list[HeronianTriangle]:

@@ -71,3 +71,33 @@ def floor_sqrt_scaled(n, digits=40):
     """floor(sqrt(n) * 10**digits) in exact integer arithmetic."""
     scale = 10**digits
     return isqrt(n * scale * scale)
+
+
+def naive_heronian_triples(max_perimeter):
+    """{(a, b, c, area)} for every integer triangle of perimeter <= max_perimeter
+    with integer area: all canonical triples a <= b <= c < a + b, Heron's
+    formula cleared of fractions, no parity or other pruning."""
+    found = set()
+    for a in range(1, max_perimeter + 1):
+        for b in range(a, max_perimeter - a + 1):
+            for c in range(b, min(a + b, max_perimeter - a - b + 1)):
+                v = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
+                root = isqrt(v)
+                if root * root == v and root % 4 == 0:
+                    found.add((a, b, c, root // 4))
+    return found
+
+
+def naive_rect_pairs(max_side):
+    """Sorted ((a, b), (x, y)) pairs of distinct rectangles with sides <= max_side
+    whose areas and perimeters cross, from a join over every rectangle."""
+    rects = [(a, b) for a in range(1, max_side + 1) for b in range(a, max_side + 1)]
+    by_key = {}
+    for a, b in rects:
+        by_key.setdefault((a * b, 2 * (a + b)), []).append((a, b))
+    pairs = set()
+    for a, b in rects:
+        for t in by_key.get((2 * (a + b), a * b), ()):
+            if t != (a, b):
+                pairs.add((min((a, b), t), max((a, b), t)))
+    return sorted(pairs)

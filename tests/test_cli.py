@@ -3,6 +3,7 @@ import json
 import pytest
 
 import amipoly.rectangles as rect_mod
+import amipoly.triangles as tri_mod
 from amipoly.cli import main
 from amipoly.matching import report_from_dict
 
@@ -180,7 +181,7 @@ class TestVerifyAll:
         assert err == ""
         assert all(c["status"] == "pass" for c in payload["checks"])
         assert len(payload["pairs"]) == 6
-        report_from_dict(payload)
+        assert report_from_dict(payload).to_canonical_dict() == payload
 
     def test_table_summary_line(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "all")
@@ -200,6 +201,30 @@ class TestVerifyAll:
         _, out1, _ = run_cli(capsys, "verify", "all", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "all", "--format", "json")
         assert out1 == out2
+
+
+class TestSingleEnumeration:
+    @pytest.fixture
+    def bounds(self, monkeypatch):
+        seen = []
+        real = tri_mod.enumerate_heronian
+
+        def spy(max_perimeter):
+            seen.append(max_perimeter)
+            return real(max_perimeter)
+
+        monkeypatch.setattr(tri_mod, "enumerate_heronian", spy)
+        return seen
+
+    def test_verify_all_enumerates_once_at_the_triangle_bound(self, capsys, bounds):
+        code, _, _ = run_cli(capsys, "verify", "all", "--format", "json")
+        assert code == 0
+        assert bounds == [120]
+
+    def test_tri_search_enumerates_once(self, capsys, bounds):
+        code, _, _ = run_cli(capsys, "tri", "search", "--max-perimeter", "150")
+        assert code == 0
+        assert bounds == [150]
 
 
 class TestUsageErrors:

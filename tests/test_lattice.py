@@ -127,6 +127,10 @@ class TestPolygonValidation:
         with pytest.raises(TypeError):
             LatticePoint(0.5, 1)
 
+    def test_bool_coordinates(self):
+        with pytest.raises(TypeError):
+            LatticePoint(True, False)
+
 
 class TestRadicalSums:
     def test_two_squares(self):

@@ -175,6 +175,29 @@ class TestRoundTrip:
         with pytest.raises(CertificateError):
             report_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "path, value",
+        [
+            (("pairs", 0, "first", "sides", 1), 34.9),
+            (("pairs", 0, "first", "sides", 0), True),
+            (("pairs", 0, "second", "sides", 0), "7"),
+            (("pairs", 0, "first", "area"), 34.0),
+            (("pairs", 0, "second", "perimeter"), 34.5),
+            (("shapes_scanned",), 12.0),
+            (("shapes_scanned",), False),
+            (("shapes_scanned",), -5),
+            (("bound",), 54.5),
+        ],
+    )
+    def test_inexact_number_rejected(self, path, value):
+        d = self.report().to_canonical_dict()
+        target = d
+        for key in path[:-1]:
+            target = target[key]
+        target[path[-1]] = value
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
     def test_nonpositive_dimensions_detected(self):
         from amipoly.matching import _verify_record
 

@@ -16,6 +16,8 @@ from amipoly.rectangles import (
     solve_partner,
 )
 
+from _oracles import naive_rect_pairs
+
 THE_FIVE = [
     ((1, 34), (7, 10)),
     ((1, 38), (6, 13)),
@@ -156,6 +158,10 @@ class TestEnumeration:
 
     def test_oracle_equivalence(self):
         assert brute_force_pairs(200) == enumerate_by_divisors()
+
+    @pytest.mark.parametrize("max_side", [9, 10, 37, 53, 54, 300])
+    def test_equals_unpruned_join(self, max_side):
+        assert as_tuples(brute_force_pairs(max_side)) == naive_rect_pairs(max_side)
 
     def test_cross_equalities_on_every_pair(self):
         for p in brute_force_pairs(100):

@@ -21,6 +21,8 @@ from amipoly.triangles import (
     sum_two_squares_reps,
 )
 
+from _oracles import naive_heronian_triples
+
 # golden values produced by the definitional brute-force scan, in
 # enumeration order (perimeter, then sides)
 EQUABLE_TRIPLES = [(6, 8, 10), (5, 12, 13), (9, 10, 17), (7, 15, 20), (6, 25, 29)]
@@ -97,6 +99,20 @@ class TestEnumeration:
     def test_bound_too_small(self):
         with pytest.raises(ValueError):
             enumerate_heronian(2)
+
+    @staticmethod
+    def as_set(triangles):
+        return {(*h.sides.as_tuple(), h.area) for h in triangles}
+
+    def test_equals_definitional_scan_up_to_60(self):
+        for p in range(3, 61):
+            assert self.as_set(enumerate_heronian(p)) == naive_heronian_triples(p), p
+
+    @pytest.mark.parametrize("max_perimeter", [200, 300])
+    def test_equals_definitional_scan(self, max_perimeter):
+        got = enumerate_heronian(max_perimeter)
+        assert len(got) == len(self.as_set(got))
+        assert self.as_set(got) == naive_heronian_triples(max_perimeter)
 
 
 class TestAmicablePairs:
