@@ -22,7 +22,6 @@ import csv
 import io
 import json
 import sys
-import time
 from dataclasses import dataclass
 
 from . import matching, rectangles, triangles
@@ -89,6 +88,18 @@ def _csv_writer():
 
 def _sides_str(rec: ShapeRecord) -> str:
     return "x".join(str(s) for s in rec.sides)
+
+
+def _emit_single(fmt: str, payload: dict, header: list, row: list, lines: list[str]):
+    """Print one result: its JSON payload, a CSV header and row, or table lines."""
+    if fmt == "json":
+        _print_json(payload)
+    elif fmt == "csv":
+        buf, writer = _csv_writer()
+        writer.writerows([header, row])
+        sys.stdout.write(buf.getvalue())
+    else:
+        print("\n".join(lines))
 
 
 def _emit_report(report: SearchReport, fmt: str):
@@ -162,11 +173,9 @@ def cmd_rect_oracle(max_side: int, fmt: str) -> int:
     if max_side < 1:
         print(f"error: --max-side must be positive, got {max_side}", file=sys.stderr)
         return EXIT_USAGE
-    start = time.perf_counter()
     pairs = rectangles.brute_force_pairs(max_side)
     report = assemble_report(
-        "rectangles", max_side, [], _rect_pair_records(pairs),
-        elapsed=time.perf_counter() - start, shapes_scanned=_rect_count(max_side),
+        "rectangles", max_side, [], _rect_pair_records(pairs), shapes_scanned=_rect_count(max_side)
     )
     _emit_report(report, fmt)
     return EXIT_OK
@@ -185,27 +194,15 @@ def cmd_rect_solve(a: int, x: int, fmt: str) -> int:
         "first": None,
         "second": None,
     }
+    line = f"no solution: {sol.status}"
     if sol.solved:
         first = _rect_record(RectSides.of(a, sol.b))
         second = _rect_record(RectSides.of(x, sol.y))
         payload["b"], payload["y"] = sol.b, sol.y
         payload["first"], payload["second"] = first.to_dict(), second.to_dict()
-    if fmt == "json":
-        _print_json(payload)
-    elif fmt == "csv":
-        buf, writer = _csv_writer()
-        writer.writerow(["a", "x", "status", "reason", "b", "y"])
-        writer.writerow(
-            [a, x, payload["status"], payload["reason"] or "",
-             sol.b if sol.solved else "", sol.y if sol.solved else ""]
-        )
-        sys.stdout.write(buf.getvalue())
-    else:
-        if sol.solved:
-            print(f"b={sol.b} y={sol.y}  (rectangles {min(a, sol.b)}x{max(a, sol.b)} "
-                  f"and {min(x, sol.y)}x{max(x, sol.y)})")
-        else:
-            print(f"no solution: {sol.status}")
+        line = f"b={sol.b} y={sol.y}  (rectangles {_sides_str(first)} and {_sides_str(second)})"
+    row = [a, x, payload["status"], payload["reason"] or "", payload.get("b", ""), payload.get("y", "")]
+    _emit_single(fmt, payload, ["a", "x", "status", "reason", "b", "y"], row, [line])
     return EXIT_OK if sol.solved else EXIT_NO_RESULT
 
 
@@ -213,12 +210,10 @@ def cmd_tri_search(max_perimeter: int, fmt: str) -> int:
     if max_perimeter < 3:
         print(f"error: --max-perimeter must be at least 3, got {max_perimeter}", file=sys.stderr)
         return EXIT_USAGE
-    start = time.perf_counter()
     found = triangles.enumerate_heronian(max_perimeter)
     pairs = triangles.match_amicable_triangles(found)
     report = assemble_report(
-        "triangles", max_perimeter, [_tri_record(h) for h in found],
-        _tri_pair_records(pairs), elapsed=time.perf_counter() - start,
+        "triangles", max_perimeter, [], _tri_pair_records(pairs), shapes_scanned=len(found)
     )
     _emit_report(report, fmt)
     return EXIT_OK
@@ -232,39 +227,46 @@ def cmd_tri_embed(a: int, b: int, c: int, fmt: str) -> int:
         return EXIT_USAGE
     heronian = triangles.as_heronian(sides)
     if heronian is None:
+        sixteen_area_sq = sides.sixteen_area_sq()
         payload = {
             "sides": list(sides.as_tuple()),
             "status": "not-heronian",
-            "sixteen_area_sq": sides.sixteen_area_sq(),
+            "sixteen_area_sq": sixteen_area_sq,
         }
-        if fmt == "json":
-            _print_json(payload)
-        else:
-            print(f"{sides}: not heronian (16*Area^2 = {sides.sixteen_area_sq()})")
+        _emit_single(
+            fmt, payload, ["a", "b", "c", "status", "sixteen_area_sq"],
+            [*sides.as_tuple(), "not-heronian", sixteen_area_sq],
+            [f"{sides}: not heronian (16*Area^2 = {sixteen_area_sq})"],
+        )
         return EXIT_NO_RESULT
     emb = triangles.embed_triangle(heronian)
+    vertices, twice, squared = emb.vertices(), emb.twice_area(), emb.squared_sides()
     payload = {
         "sides": list(sides.as_tuple()),
         "status": "embedded",
         "area": heronian.area,
         "perimeter": heronian.perimeter(),
-        "vertices": [[p.x, p.y] for p in emb.vertices()],
-        "twice_area": emb.twice_area(),
-        "squared_sides": emb.squared_sides(),
+        "vertices": [[p.x, p.y] for p in vertices],
+        "twice_area": twice,
+        "squared_sides": squared,
     }
-    if fmt == "json":
-        _print_json(payload)
-    elif fmt == "csv":
-        buf, writer = _csv_writer()
-        writer.writerow(["a", "b", "c", "x0", "y0", "x1", "y1", "x2", "y2", "twice_area"])
-        flat = [n for p in emb.vertices() for n in (p.x, p.y)]
-        writer.writerow([*sides.as_tuple(), *flat, emb.twice_area()])
-        sys.stdout.write(buf.getvalue())
-    else:
-        print(f"triangle: {sides}  (area {heronian.area}, perimeter {heronian.perimeter()})")
-        print("vertices: " + " ".join(f"({p.x},{p.y})" for p in emb.vertices()))
-        print(f"twice area: {emb.twice_area()}")
-        print("squared sides: " + " ".join(str(s) for s in emb.squared_sides()))
+    _emit_single(
+        fmt, payload, ["a", "b", "c", "x0", "y0", "x1", "y1", "x2", "y2", "twice_area"],
+        [*sides.as_tuple(), *(n for p in vertices for n in (p.x, p.y)), twice],
+        [
+            f"triangle: {sides}  (area {heronian.area}, perimeter {heronian.perimeter()})",
+            "vertices: " + " ".join(f"({p.x},{p.y})" for p in vertices),
+            f"twice area: {twice}",
+            "squared sides: " + " ".join(str(s) for s in squared),
+        ],
+    )
+    return EXIT_OK
+
+
+def _equable_report(family: str, bound: int, records: list[ShapeRecord], fmt: str) -> int:
+    """Report equable shapes and the amicable pairs among them."""
+    pairs = matching.match_amicable(records)
+    _emit_report(assemble_report(family, bound, records, pairs), fmt)
     return EXIT_OK
 
 
@@ -272,40 +274,18 @@ def cmd_tri_equable(max_perimeter: int, fmt: str) -> int:
     if max_perimeter < 3:
         print(f"error: --max-perimeter must be at least 3, got {max_perimeter}", file=sys.stderr)
         return EXIT_USAGE
-    start = time.perf_counter()
     found = triangles.find_equable_triangles(max_perimeter)
     records = [_tri_record(h, "equable-triangles") for h in found]
-    fps = [r.fingerprint() for r in records]
-    by_id = {r.shape_id: r for r in records}
-    pairs = [
-        (by_id[s.shape_id], by_id[t.shape_id]) for s, t in matching.match_amicable(fps)
-    ]
-    report = assemble_report(
-        "equable-triangles", max_perimeter, records, pairs,
-        elapsed=time.perf_counter() - start,
-    )
-    _emit_report(report, fmt)
-    return EXIT_OK
+    return _equable_report("equable-triangles", max_perimeter, records, fmt)
 
 
 def cmd_equable_rect(max_side: int, fmt: str) -> int:
     if max_side < 1:
         print(f"error: --max-side must be positive, got {max_side}", file=sys.stderr)
         return EXIT_USAGE
-    start = time.perf_counter()
     found = rectangles.equable_rectangles(max_side)
     records = [_rect_record(r, "equable-rectangles") for r in found]
-    fps = [r.fingerprint() for r in records]
-    by_id = {r.shape_id: r for r in records}
-    pairs = [
-        (by_id[s.shape_id], by_id[t.shape_id]) for s, t in matching.match_amicable(fps)
-    ]
-    report = assemble_report(
-        "equable-rectangles", max_side, records, pairs,
-        elapsed=time.perf_counter() - start,
-    )
-    _emit_report(report, fmt)
-    return EXIT_OK
+    return _equable_report("equable-rectangles", max_side, records, fmt)
 
 
 # --- verify all -------------------------------------------------------------
@@ -392,12 +372,9 @@ def _verification_checks():
 
 
 def cmd_verify_all(fmt: str) -> int:
-    start = time.perf_counter()
     checks, pair_records, scanned = _verification_checks()
     report = assemble_report(
-        "verification", None, [], pair_records,
-        elapsed=time.perf_counter() - start, checks=tuple(checks),
-        shapes_scanned=scanned,
+        "verification", None, [], pair_records, checks=tuple(checks), shapes_scanned=scanned
     )
     _emit_report(report, fmt)
     failing = [name for name, ok in checks if not ok]

@@ -2,8 +2,9 @@
 
 Shapes of any family reduce to (area, perimeter, shape_id) fingerprints;
 amicable pairs come out of a keyed join instead of a quadratic scan.
-Reports re-verify every certificate both when assembled and when read back
-from JSON, so serialized results are never trusted blindly.
+Reports re-verify every certificate when assembled, and a report read back
+from JSON is reassembled and must serialize to exactly the input, so
+serialized results are never trusted blindly.
 """
 
 from __future__ import annotations
@@ -56,15 +57,18 @@ class ShapeRecord:
     def shape_id(self) -> str:
         return f"{self.family}:" + "x".join(str(s) for s in self.sides)
 
-    def fingerprint(self) -> ShapeFingerprint:
-        return ShapeFingerprint(self.area, self.perimeter, self.shape_id)
-
     def to_dict(self) -> dict:
         return {"sides": list(self.sides), "area": self.area, "perimeter": self.perimeter}
 
 
+# Sides of one shape in each shape family.
+_SIDE_COUNTS = {"rectangles": 2, "equable-rectangles": 2, "triangles": 3, "equable-triangles": 3}
+
+
 def _verify_record(rec: ShapeRecord):
     """Recompute area and perimeter from the sides and compare."""
+    if len(rec.sides) != _SIDE_COUNTS.get(rec.family):
+        raise CertificateError(f"side count does not match the family: {rec}")
     if list(rec.sides) != sorted(rec.sides):
         raise CertificateError(f"sides not sorted: {rec}")
     if any(s < 1 for s in rec.sides) or rec.area < 1 or rec.perimeter < 1:
@@ -73,13 +77,11 @@ def _verify_record(rec: ShapeRecord):
         a, b = rec.sides
         if rec.area != a * b or rec.perimeter != 2 * (a + b):
             raise CertificateError(f"rectangle invariants fail: {rec}")
-    elif len(rec.sides) == 3:
+    else:
         a, b, c = rec.sides
         heron = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
         if rec.perimeter != a + b + c or 16 * rec.area * rec.area != heron:
             raise CertificateError(f"triangle invariants fail: {rec}")
-    else:
-        raise CertificateError(f"unsupported side count: {rec}")
     if rec.family.startswith("equable") and rec.area != rec.perimeter:
         raise CertificateError(f"shape claimed equable but is not: {rec}")
 
@@ -103,7 +105,8 @@ def match_amicable(
     Implemented as a join keyed on (area, perimeter) probed with the
     reversed key.  Distinct shape_ids are required, so an equable shape
     (area = perimeter) never pairs with itself, while two different equable
-    shapes with the same value do pair.
+    shapes with the same value do pair.  A ShapeRecord carries the same
+    three fields and is matched as it is.
     """
     seen_ids = set()
     for s in shapes:
@@ -126,8 +129,7 @@ def match_amicable(
 class SearchReport:
     """Deterministic, certificate-carrying result of one search run.
 
-    elapsed is the only volatile field and is excluded from the canonical
-    dictionary, so identical inputs serialize byte-identically.
+    Identical inputs serialize byte-identically.
     """
 
     family: str
@@ -136,10 +138,6 @@ class SearchReport:
     pairs: tuple[tuple[ShapeRecord, ShapeRecord], ...]
     shapes: tuple[ShapeRecord, ...] = ()
     checks: tuple[tuple[str, bool], ...] = ()
-    elapsed: float = 0.0
-
-    def all_checks_pass(self) -> bool:
-        return all(ok for _, ok in self.checks)
 
     def to_canonical_dict(self) -> dict:
         out = {
@@ -164,7 +162,6 @@ def assemble_report(
     bound: int | None,
     shapes: list[ShapeRecord],
     pairs: list[tuple[ShapeRecord, ShapeRecord]],
-    elapsed: float = 0.0,
     checks: tuple[tuple[str, bool], ...] = (),
     shapes_scanned: int | None = None,
 ) -> SearchReport:
@@ -173,10 +170,11 @@ def assemble_report(
     Shape lists are retained in the report only for the equable families,
     where the shapes themselves are the result; pair searches keep just the
     scan count (len(shapes) unless shapes_scanned overrides it).  A pair
-    that fails its cross equalities aborts assembly.
+    that fails its cross equalities, or a repeated pair or kept shape,
+    aborts assembly.
     """
     if family not in FAMILIES:
-        raise ValueError(f"unknown family: {family!r}")
+        raise CertificateError(f"unknown family: {family!r}")
     for rec in shapes:
         _verify_record(rec)
     normalized = []
@@ -186,6 +184,8 @@ def assemble_report(
         normalized.append((first, second))
     normalized.sort(key=lambda p: (p[0].sides, p[1].sides))
     keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if family.startswith("equable") else ()
+    if len(set(normalized)) < len(normalized) or len(set(keep_shapes)) < len(keep_shapes):
+        raise CertificateError(f"repeated pair or shape in a {family} report")
     return SearchReport(
         family=family,
         bound=bound,
@@ -193,7 +193,6 @@ def assemble_report(
         pairs=tuple(normalized),
         shapes=keep_shapes,
         checks=tuple(checks),
-        elapsed=elapsed,
     )
 
 
@@ -205,54 +204,45 @@ def _exact_int(value, what: str) -> int:
 
 
 def _record_from_dict(d: dict, family: str) -> ShapeRecord:
-    rec = ShapeRecord(
+    """A shape listed in a report of the given family; verification lists both kinds."""
+    if family == "verification":
+        family = "rectangles" if len(d["sides"]) == 2 else "triangles"
+    return ShapeRecord(
         family=family,
         sides=tuple(_exact_int(s, "side") for s in d["sides"]),
         area=_exact_int(d["area"], "area"),
         perimeter=_exact_int(d["perimeter"], "perimeter"),
     )
-    _verify_record(rec)
-    return rec
 
 
 def report_from_dict(d: dict) -> SearchReport:
-    """Rebuild a SearchReport from its canonical dictionary, re-verifying certificates.
+    """Rebuild a SearchReport from its canonical dictionary by reassembling it.
 
-    Every number must already be an int: a value that int() would coerce,
-    such as 34.9 or True, is rejected with CertificateError.
+    The records are passed through assemble_report, which re-verifies every
+    certificate, and the result must serialize back to exactly d: canonical
+    order, no repeats, no unknown keys.  Every number must already be an
+    int; a value that equals one, such as 34.0 or True, is rejected.  Any
+    failure, malformed structure included, raises CertificateError.
     """
-    family = d["family"]
-    if family not in FAMILIES:
-        raise CertificateError(f"unknown family: {family!r}")
-    shapes_scanned = _exact_int(d["shapes_scanned"], "shapes_scanned")
-    if shapes_scanned < 0:
-        raise CertificateError(f"shapes_scanned must be non-negative, got {shapes_scanned}")
-    bound = d["bound"]
-    if bound is not None:
-        _exact_int(bound, "bound")
-
-    def member_family(shape_dict: dict) -> str:
-        if family != "verification":
-            return family
-        return "rectangles" if len(shape_dict["sides"]) == 2 else "triangles"
-
-    pairs = []
-    for entry in d["pairs"]:
-        first = _record_from_dict(entry["first"], member_family(entry["first"]))
-        second = _record_from_dict(entry["second"], member_family(entry["second"]))
-        _verify_pair(first, second)
-        pairs.append((first, second))
-    shapes = tuple(
-        _record_from_dict(entry, family) for entry in d.get("shapes", ())
-    )
-    checks = tuple(
-        (entry["name"], entry["status"] == "pass") for entry in d.get("checks", ())
-    )
-    return SearchReport(
-        family=family,
-        bound=bound,
-        shapes_scanned=shapes_scanned,
-        pairs=tuple(pairs),
-        shapes=shapes,
-        checks=checks,
-    )
+    try:
+        family = d["family"]
+        bound = d["bound"]
+        shapes_scanned = _exact_int(d["shapes_scanned"], "shapes_scanned")
+        if shapes_scanned < 0:
+            raise CertificateError(f"shapes_scanned must be non-negative, got {shapes_scanned}")
+        report = assemble_report(
+            family,
+            None if bound is None else _exact_int(bound, "bound"),
+            [_record_from_dict(entry, family) for entry in d.get("shapes", ())],
+            [
+                (_record_from_dict(pair["first"], family), _record_from_dict(pair["second"], family))
+                for pair in d["pairs"]
+            ],
+            checks=[(entry["name"], entry["status"] == "pass") for entry in d["checks"]],
+            shapes_scanned=shapes_scanned,
+        )
+    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+        raise CertificateError(f"malformed report: {exc!r}") from exc
+    if report.to_canonical_dict() != d:
+        raise CertificateError("report differs from the one assemble_report builds from it")
+    return report

@@ -152,6 +152,11 @@ class TestTriEmbed:
         assert payload["status"] == "not-heronian"
         assert payload["sixteen_area_sq"] == 135
 
+    def test_not_heronian_csv(self, capsys):
+        code, out, _ = run_cli(capsys, "tri", "embed", "2", "3", "4", "--format", "csv")
+        assert code == 2
+        assert out == "a,b,c,status,sixteen_area_sq\n2,3,4,not-heronian,135\n"
+
     def test_triangle_inequality(self, capsys):
         code, _, err = run_cli(capsys, "tri", "embed", "1", "1", "3")
         assert code == 1

@@ -1,3 +1,7 @@
+import contextlib
+import copy
+import functools
+import io
 import json
 import random
 
@@ -5,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from amipoly.cli import main
 from amipoly.matching import (
     CertificateError,
     SearchReport,
@@ -16,6 +21,13 @@ from amipoly.matching import (
 )
 
 from _oracles import naive_amicable_scan
+
+MUTATED_COMMANDS = (
+    "verify all --format json",
+    "tri equable --max-perimeter 200 --format json",
+    "rect oracle --max-side 60 --format json",
+)
+DELETE = object()  # the mutation that removes a key or list item
 
 RECT_PAIR_SIDES = [
     ((1, 34), (7, 10)),
@@ -144,8 +156,8 @@ class TestAssembleReport:
 
     def test_deterministic_serialisation(self):
         pairs = [(rect_record(1, 34), rect_record(7, 10))]
-        r1 = assemble_report("rectangles", 54, [], pairs, elapsed=0.123)
-        r2 = assemble_report("rectangles", 54, [], pairs, elapsed=9.876)
+        r1 = assemble_report("rectangles", 54, [], pairs)
+        r2 = assemble_report("rectangles", 54, [], pairs)
         assert json.dumps(r1.to_canonical_dict(), sort_keys=True) == json.dumps(
             r2.to_canonical_dict(), sort_keys=True
         )
@@ -209,3 +221,109 @@ class TestRoundTrip:
         assert rec.shape_id == "rectangles:2x13"
         tri = ShapeRecord("triangles", (9, 12, 15), 54, 36)
         assert tri.shape_id == "triangles:9x12x15"
+
+    def test_every_command_report_reads_back(self):
+        for command in MUTATED_COMMANDS:
+            d = canonical_report(command)
+            assert report_from_dict(d).to_canonical_dict() == d
+
+    def test_duplicated_pair_rejected(self):
+        d = self.report().to_canonical_dict()
+        d["pairs"].append(copy.deepcopy(d["pairs"][0]))
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_triangle_pair_in_rectangles_report_rejected(self):
+        d = self.report().to_canonical_dict()
+        d["pairs"] = [
+            {
+                "first": {"sides": [3, 25, 26], "area": 36, "perimeter": 54},
+                "second": {"sides": [9, 12, 15], "area": 54, "perimeter": 36},
+            }
+        ]
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_reversed_pair_order_rejected(self):
+        pairs = [(rect_record(1, 34), rect_record(7, 10)), (rect_record(2, 10), rect_record(4, 6))]
+        d = assemble_report("rectangles", 54, [], pairs).to_canonical_dict()
+        d["pairs"].reverse()
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_swapped_members_rejected(self):
+        d = self.report().to_canonical_dict()
+        pair = d["pairs"][0]
+        pair["first"], pair["second"] = pair["second"], pair["first"]
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_unknown_check_status_rejected(self):
+        d = self.report().to_canonical_dict()
+        d["checks"][0]["status"] = "maybe"
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_shape_list_on_pair_report_rejected(self):
+        d = self.report().to_canonical_dict()
+        d["shapes"] = [{"sides": [2, 3], "area": 6, "perimeter": 10}]
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_unknown_key_rejected(self):
+        d = self.report().to_canonical_dict()
+        d["elapsed"] = 0.5
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_single_mutation_rejected_or_read_back_exactly(self, data):
+        d = canonical_report(data.draw(st.sampled_from(MUTATED_COMMANDS)))
+        path = data.draw(st.sampled_from(node_paths(d)))
+        mutation = data.draw(
+            st.just(DELETE) | st.none() | st.integers() | st.floats()
+            | st.booleans() | st.text(max_size=5) | st.just([]) | st.just({})
+        )
+        if not path:
+            d = None if mutation is DELETE else mutation
+        else:
+            parent = d
+            for key in path[:-1]:
+                parent = parent[key]
+            if mutation is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = mutation
+        try:
+            report = report_from_dict(d)
+        except CertificateError:
+            return
+        assert report.to_canonical_dict() == d
+
+
+@functools.cache
+def _stdout(command: str) -> str:
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        assert main(command.split()) == 0
+    return out.getvalue()
+
+
+def canonical_report(command: str) -> dict:
+    """A fresh parse of the JSON a command prints; the command runs once."""
+    return json.loads(_stdout(command))
+
+
+def node_paths(node, path=()) -> list[tuple]:
+    """The path of node and of every key or list item below it."""
+    paths = [path]
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        items = ()
+    for key, child in items:
+        paths.extend(node_paths(child, path + (key,)))
+    return paths
