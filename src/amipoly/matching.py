@@ -14,6 +14,7 @@ from dataclasses import dataclass
 __all__ = [
     "CertificateError",
     "FAMILIES",
+    "VERIFICATION_CHECKS",
     "ShapeFingerprint",
     "ShapeRecord",
     "match_amicable",
@@ -28,6 +29,19 @@ FAMILIES = (
     "equable-rectangles",
     "equable-triangles",
     "verification",  # consolidated multi-family report
+)
+
+
+# The checks a "verification" report carries, in order; no other family carries any.
+VERIFICATION_CHECKS = (
+    "rect-divisor-enumeration-matches-oracle",
+    "rect-pairs-are-the-known-five",
+    "tri-search-finds-single-known-pair",
+    "tri-pair-cross-equalities",
+    "embeddings-certify-both-triangles",
+    "dominant-member-short-side-is-1-or-2",
+    "equable-rectangles-recovered-and-excluded",
+    "equable-triangles-recovered-and-excluded",
 )
 
 
@@ -84,6 +98,13 @@ def _verify_record(rec: ShapeRecord):
             raise CertificateError(f"triangle invariants fail: {rec}")
     if rec.family.startswith("equable") and rec.area != rec.perimeter:
         raise CertificateError(f"shape claimed equable but is not: {rec}")
+
+
+def _verify_bound(rec: ShapeRecord, bound: int | None):
+    """A rectangle's long side, or a triangle's perimeter, must not exceed the bound."""
+    size = rec.sides[-1] if len(rec.sides) == 2 else rec.perimeter
+    if bound is not None and size > bound:
+        raise CertificateError(f"{rec.shape_id} lies beyond the bound {bound}")
 
 
 def _verify_pair(first: ShapeRecord, second: ShapeRecord):
@@ -170,17 +191,26 @@ def assemble_report(
     Shape lists are retained in the report only for the equable families,
     where the shapes themselves are the result; pair searches keep just the
     scan count (len(shapes) unless shapes_scanned overrides it).  A pair
-    that fails its cross equalities, or a repeated pair or kept shape,
+    that fails its cross equalities, a repeated pair or kept shape, a shape
+    beyond a non-null bound of a shape family, or checks other than
+    VERIFICATION_CHECKS on a verification report (none on any other family)
     aborts assembly.
     """
     if family not in FAMILIES:
         raise CertificateError(f"unknown family: {family!r}")
+    if tuple(name for name, _ in checks) != (VERIFICATION_CHECKS if family == "verification" else ()):
+        raise CertificateError(f"a {family} report does not carry its fixed list of checks")
+    # A verification report mixes rectangles and triangles, whose bounds differ.
+    shape_bound = None if family == "verification" else bound
     for rec in shapes:
         _verify_record(rec)
+        _verify_bound(rec, shape_bound)
     normalized = []
     for a, b in pairs:
         first, second = sorted((a, b), key=lambda r: (r.sides, r.family))
         _verify_pair(first, second)
+        _verify_bound(first, shape_bound)
+        _verify_bound(second, shape_bound)
         normalized.append((first, second))
     normalized.sort(key=lambda p: (p[0].sides, p[1].sides))
     keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if family.startswith("equable") else ()

@@ -105,7 +105,7 @@ def _partner_quadratic(r: RectSides) -> RectSides | None:
 def small_side_candidates(max_side: int) -> list[int]:
     """Short sides that can occur on the perimeter-dominant member of a pair.
 
-    Scans every canonical rectangle with long side <= max_side, keeps the
+    Scans the canonical rectangles with long side <= max_side, keeps the
     perimeter-dominant ones whose (even) area admits a genuine partner
     distinct from the rectangle itself, and returns the sorted set of short
     sides seen.  Comes out as [1, 2] for any max_side >= 54.
@@ -117,7 +117,9 @@ def small_side_candidates(max_side: int) -> list[int]:
         for b in range(a, max_side + 1):
             r = RectSides(a, b)
             if not perimeter_dominant(r):
-                continue
+                # ab - 2(a + b) = b(a - 2) - 2a never decreases in b for a >= 2
+                # (and stays negative for a = 1), so no longer rectangle is either.
+                break
             partner = _partner_quadratic(r)
             if partner is None or partner == r:
                 continue

@@ -3,7 +3,9 @@
 Enumeration scans canonical side triples of even perimeter in plain
 integers, keeps the ones whose 16*Area^2 is a perfect square, and matches
 amicable partners by an (area, perimeter) fingerprint join.  Lattice
-embeddings are found by completing two sum-of-two-squares representations.
+embeddings come from the Gaussian factorisation of the longest side: each
+lattice point at distance c from the origin fixes the third vertex up to a
+reflection, and it is kept when its coordinates are integers.
 """
 
 from __future__ import annotations
@@ -30,7 +32,6 @@ __all__ = [
     "match_amicable_triangles",
     "find_amicable_triangle_pairs",
     "find_equable_triangles",
-    "sum_two_squares_reps",
     "embed_triangle",
 ]
 
@@ -167,30 +168,62 @@ def find_equable_triangles(max_perimeter: int) -> list[HeronianTriangle]:
     return [h for h in enumerate_heronian(max_perimeter) if h.area == h.perimeter()]
 
 
-def sum_two_squares_reps(n: int) -> list[LatticePoint]:
-    """All (p, q) with p, q >= 0 and p^2 + q^2 = n, sorted by p."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    reps = []
-    for p in range(isqrt(n) + 1):
-        rest = n - p * p
-        q = isqrt(rest)
-        if q * q == rest:
-            reps.append(LatticePoint(p, q))
-    return reps
-
-
 class EmbeddingSearchError(RuntimeError):
     """The embedding search ran out of candidates; impossible for certified input."""
 
 
-def _signed_reps(n: int) -> list[LatticePoint]:
-    pts = set()
-    for r in sum_two_squares_reps(n):
-        for sx in (1, -1):
-            for sy in (1, -1):
-                pts.add(LatticePoint(sx * r.x, sy * r.y))
-    return sorted(pts)
+def _factor(m: int) -> list[tuple[int, int]]:
+    """The prime factorisation of m >= 1 as sorted (p, e) pairs, by trial division."""
+    factors = []
+    p = 2
+    while p * p <= m:
+        e = 0
+        while m % p == 0:
+            m //= p
+            e += 1
+        if e:
+            factors.append((p, e))
+        p += 1
+    if m > 1:
+        factors.append((m, 1))
+    return factors
+
+
+def _gaussian_mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
+    """The product of the Gaussian integers u[0] + u[1]*i and v[0] + v[1]*i."""
+    return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
+
+
+def _square_reps(m: int) -> list[LatticePoint]:
+    """All (x, y) with x^2 + y^2 = m^2, sorted, from the factorisation of m >= 1.
+
+    These are the Gaussian integers of norm m^2.  For each p^e exactly
+    dividing m, a prime p = 2 or p = 3 (mod 4) contributes p^e up to a unit,
+    and a prime p = 1 (mod 4), split as p = pi * conj(pi), contributes one of
+    pi^j * conj(pi)^(2e - j) for j = 0..2e.  Every product of one choice per
+    prime, times each of the four units, is a point, and no two coincide;
+    there are r2(m^2) of them.
+    """
+    gaussians = [(1, 0)]
+    for p, e in _factor(m):
+        if p % 4 == 1:
+            x = 1
+            while isqrt(p - x * x) ** 2 != p - x * x:
+                x += 1
+            y = isqrt(p - x * x)
+            powers, bar_powers = [(1, 0)], [(1, 0)]
+            for _ in range(2 * e):
+                powers.append(_gaussian_mul(powers[-1], (x, y)))
+                bar_powers.append(_gaussian_mul(bar_powers[-1], (x, -y)))
+            choices = [_gaussian_mul(powers[j], bar_powers[2 * e - j]) for j in range(2 * e + 1)]
+        else:
+            choices = [(p**e, 0)]
+        gaussians = [_gaussian_mul(g, h) for g in gaussians for h in choices]
+    return sorted(
+        LatticePoint(*point)
+        for u, v in gaussians
+        for point in ((u, v), (-v, u), (-u, -v), (v, -u))
+    )
 
 
 def _canonical_placement(
@@ -247,21 +280,27 @@ class TriangleEmbedding:
 def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     """Place t on the lattice with one vertex at the origin.
 
-    The origin vertex carries the two longest sides: v1 ranges over the
-    sign-completed representations of c^2, v2 over those of b^2, and a
-    candidate is kept when |v1 - v2|^2 = a^2.  The returned placement is the
-    canonical representative of the candidates under the lattice symmetries.
+    The origin vertex carries the two longest sides.  v1 = p ranges over the
+    lattice points with |p| = c, built from the factorisation of c.  For each
+    p the only points q with |q| = b and |p - q| = a are
+    q = (D*p +- T*p_perp) / c^2, where D = (b^2 + c^2 - a^2)/2 = p.q,
+    T = 2*area = |p x q| and p_perp = (-p.y, p.x); a candidate (p, q) is kept
+    when both coordinates of q divide exactly.  D is an integer because a
+    heronian perimeter is even.  The returned placement is the canonical
+    representative of the candidates under the lattice symmetries.
     Heronian triangles always embed; an exhausted search indicates internal
     inconsistency and raises EmbeddingSearchError.
     """
     s = t.sides
-    a_sq = s.a * s.a
-    candidates = [
-        (p, q)
-        for p in _signed_reps(s.c * s.c)
-        for q in _signed_reps(s.b * s.b)
-        if (p - q).norm_sq() == a_sq
-    ]
+    c_sq = s.c * s.c
+    dot = (s.b * s.b + c_sq - s.a * s.a) // 2
+    candidates = []
+    for p in _square_reps(s.c):
+        for cross in (2 * t.area, -2 * t.area):
+            qx, rx = divmod(dot * p.x - cross * p.y, c_sq)
+            qy, ry = divmod(dot * p.y + cross * p.x, c_sq)
+            if rx == 0 and ry == 0:
+                candidates.append((p, LatticePoint(qx, qy)))
     if not candidates:
         raise EmbeddingSearchError(f"no lattice placement found for {s}")
     v1, v2 = _canonical_placement(candidates)

@@ -101,3 +101,51 @@ def naive_rect_pairs(max_side):
             if t != (a, b):
                 pairs.add((min((a, b), t), max((a, b), t)))
     return sorted(pairs)
+
+
+def sum_two_squares_reps(n):
+    """All (p, q) with p, q >= 0 and p^2 + q^2 = n, sorted by p, by scanning p."""
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    reps = []
+    for p in range(isqrt(n) + 1):
+        rest = n - p * p
+        q = isqrt(rest)
+        if q * q == rest:
+            reps.append((p, q))
+    return reps
+
+
+def signed_square_sums(n):
+    """Sorted (x, y) of any signs with x^2 + y^2 = n: sum_two_squares_reps sign-completed."""
+    return sorted(
+        {(sx * p, sy * q) for p, q in sum_two_squares_reps(n) for sx in (1, -1) for sy in (1, -1)}
+    )
+
+
+def naive_embedding_candidates(a, b, c):
+    """Every ((px, py), (qx, qy)) with |p| = c, |q| = b and |p - q| = a, from a
+    pairwise scan over the sign-completed representations of c^2 and b^2."""
+    qs = signed_square_sums(b * b)
+    return [
+        (p, q)
+        for p in signed_square_sums(c * c)
+        for q in qs
+        if (p[0] - q[0]) ** 2 + (p[1] - q[1]) ** 2 == a * a
+    ]
+
+
+def naive_small_side_candidates(max_side):
+    """Sorted short sides a of every rectangle a <= b <= max_side with area <= perimeter
+    that has a partner x <= y, distinct from it, with x*y = 2(a + b) and
+    2(x + y) = a*b; every rectangle is scanned and partners are found by divisors."""
+    shorts = set()
+    for a in range(1, max_side + 1):
+        for b in range(a, max_side + 1):
+            if a * b > 2 * (a + b):
+                continue
+            area = 2 * (a + b)
+            for x in range(1, isqrt(area) + 1):
+                if area % x == 0 and 2 * (x + area // x) == a * b and (x, area // x) != (a, b):
+                    shorts.add(a)
+    return sorted(shorts)

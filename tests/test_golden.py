@@ -34,6 +34,10 @@ GOLDEN = {
     "tri equable --max-perimeter 200 --format csv": "f7651999be6360c0cbc8157c85352a9b8824eeabfdcb3554f26401817f88f9d3",
     "equable rect": "2c4e6f2be8c4024d89eb2879a2fe6225ef97af41e781c8ecd314972e08f7f56a",
     "equable rect --format csv": "82b0ce9b6295190296cb04ca8fb4a44e61aa95198d065adc82e6b7e31d0e612d",
+    "tri embed 16095 21460 26825 --format json": "5a8621fe5a696e58c21b654b4273836dab7190e480eeff915d584e773cad81fa",
+    "tri embed 14365 15470 16575 --format json": "9b64797fdd2dcd73be29b16ce4af0e4c889f62d73d986d8c3df50745d1a3113f",
+    "tri embed 14365 15470 16575": "f09080b175a3e14e7810b7c4f65bd7df005e14e85bffeaaaaec8130df9b38854",
+    "tri embed 833490 833490 1000188 --format csv": "2485caa33d8d7c34b7f8b32b27f0a92169e2ce621a3a4c8c2a90ef1b98c705c1",
 }
 
 # Negative mathematical results: exit code 2 with a pinned stdout.

@@ -166,7 +166,7 @@ class TestAssembleReport:
 class TestRoundTrip:
     def report(self):
         pairs = [(rect_record(1, 34), rect_record(7, 10))]
-        return assemble_report("rectangles", 54, [], pairs, checks=(("demo", True),))
+        return assemble_report("rectangles", 54, [], pairs)
 
     def test_round_trip(self):
         report = self.report()
@@ -259,8 +259,47 @@ class TestRoundTrip:
             report_from_dict(d)
 
     def test_unknown_check_status_rejected(self):
-        d = self.report().to_canonical_dict()
+        d = canonical_report("verify all --format json")
         d["checks"][0]["status"] = "maybe"
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda checks: checks.clear(),
+            lambda checks: checks.pop(3),
+            lambda checks: checks.reverse(),
+            lambda checks: checks[0].update(name=5),
+            lambda checks: checks[-1].update(name="tri-pair-cross-equalities"),
+        ],
+        ids=["empty", "deleted", "reordered", "non-string-name", "renamed"],
+    )
+    def test_verification_report_carries_the_fixed_checks(self, edit):
+        d = canonical_report("verify all --format json")
+        edit(d["checks"])
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_checks_on_other_family_rejected(self):
+        d = self.report().to_canonical_dict()
+        d["checks"] = [{"name": "demo", "status": "pass"}]
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "command, bound",
+        [
+            ("rect oracle --max-side 60 --format json", 7),
+            ("rect oracle --max-side 60 --format json", 53),
+            ("tri search --max-perimeter 60 --format json", 53),
+            ("tri equable --max-perimeter 200 --format json", 59),
+            ("equable rect --format json", 5),
+        ],
+    )
+    def test_shape_beyond_bound_rejected(self, command, bound):
+        d = canonical_report(command)
+        d["bound"] = bound
         with pytest.raises(CertificateError):
             report_from_dict(d)
 

@@ -16,7 +16,7 @@ from amipoly.rectangles import (
     solve_partner,
 )
 
-from _oracles import naive_rect_pairs
+from _oracles import naive_rect_pairs, naive_small_side_candidates
 
 THE_FIVE = [
     ((1, 34), (7, 10)),
@@ -64,6 +64,10 @@ class TestSmallSideCandidates:
 
     def test_at_200(self):
         assert small_side_candidates(200) == [1, 2]
+
+    @pytest.mark.parametrize("max_side", [*range(4, 121), 300])
+    def test_equals_full_scan(self, max_side):
+        assert small_side_candidates(max_side) == naive_small_side_candidates(max_side)
 
     def test_odd_area_has_no_partner(self):
         # odd area can never equal an (even) partner perimeter

@@ -12,16 +12,21 @@ from amipoly.triangles import (
     HeronianTriangle,
     TriangleSides,
     _canonical_placement,
+    _square_reps,
     as_heronian,
     embed_triangle,
     enumerate_heronian,
     find_amicable_triangle_pairs,
     find_equable_triangles,
     sixteen_area_sq,
-    sum_two_squares_reps,
 )
 
-from _oracles import naive_heronian_triples
+from _oracles import (
+    naive_embedding_candidates,
+    naive_heronian_triples,
+    signed_square_sums,
+    sum_two_squares_reps,
+)
 
 # golden values produced by the definitional brute-force scan, in
 # enumeration order (perimeter, then sides)
@@ -156,21 +161,28 @@ class TestEquableTriangles:
 
 class TestSumTwoSquares:
     def test_twenty_five(self):
-        assert [(p.x, p.y) for p in sum_two_squares_reps(25)] == [
+        assert sum_two_squares_reps(25) == [
             (0, 5), (3, 4), (4, 3), (5, 0),
         ]
 
     def test_two(self):
-        assert [(p.x, p.y) for p in sum_two_squares_reps(2)] == [(1, 1)]
+        assert sum_two_squares_reps(2) == [(1, 1)]
 
     def test_625(self):
-        got = {(p.x, p.y) for p in sum_two_squares_reps(625)}
+        got = set(sum_two_squares_reps(625))
         assert {(7, 24), (15, 20), (20, 15), (24, 7), (0, 25), (25, 0)} <= got
 
     def test_defining_property(self):
         for n in range(0, 500):
-            for p in sum_two_squares_reps(n):
-                assert p.x >= 0 and p.y >= 0 and p.x * p.x + p.y * p.y == n
+            for x, y in sum_two_squares_reps(n):
+                assert x >= 0 and y >= 0 and x * x + y * y == n
+
+
+class TestSquareReps:
+    def test_equals_sign_completed_scan(self):
+        # every m up to 2500, then larger products with repeated primes = 1 (mod 4)
+        for m in (*range(1, 2501), 5**3 * 29, 2 * 3 * 5 * 5 * 13 * 37, 7 * 11 * 13 * 13):
+            assert [(p.x, p.y) for p in _square_reps(m)] == signed_square_sums(m * m), m
 
 
 class TestEmbedding:
@@ -204,6 +216,23 @@ class TestEmbedding:
             sides = integer_side_lengths(emb.as_polygon())
             assert sides is not None
             assert sorted(sides) == list(h.sides.as_tuple())
+
+    @pytest.mark.parametrize(
+        "sides",
+        sorted((a, b, c) for a, b, c, _ in naive_heronian_triples(60))
+        + [
+            tuple(k * s for s in base)
+            for base in ((13, 14, 15), (9, 10, 17), (5, 12, 13), (3, 4, 5))
+            for k in (5 * 13 * 17, 2 * 3 * 7)
+        ],
+        ids=str,
+    )
+    def test_equals_canonical_pairwise_scan(self, sides):
+        emb = embed_triangle(as_heronian(TriangleSides(*sides)))
+        candidates = [
+            (LatticePoint(*p), LatticePoint(*q)) for p, q in naive_embedding_candidates(*sides)
+        ]
+        assert (emb.v1, emb.v2) == _canonical_placement(candidates)
 
     def test_deterministic(self):
         h = as_heronian(TriangleSides(9, 12, 15))
