@@ -301,27 +301,30 @@ THE_TRIANGLE_PAIR = ((3, 25, 26), (9, 12, 15))
 
 
 def _verification_checks():
-    """Run every consistency check; returns (checks, pair_records, shapes_scanned).
-
-    The outcomes are appended in the order of matching.VERIFICATION_CHECKS.
-    """
-    passed: list[bool] = []
+    """Run every consistency check; returns (checks, pair_records, shapes_scanned)."""
+    checks: list[tuple[str, bool]] = []
 
     rect_pairs = rectangles.enumerate_by_divisors()
     oracle_pairs = rectangles.brute_force_pairs(DEFAULTS.rect_max_side)
     rect_count = _rect_count(DEFAULTS.rect_max_side)
-    passed.append(rect_pairs == oracle_pairs)
+    checks.append(("rect-divisor-enumeration-matches-oracle", rect_pairs == oracle_pairs))
     as_tuples = [
         ((p.first.short, p.first.long), (p.second.short, p.second.long)) for p in rect_pairs
     ]
-    passed.append(tuple(as_tuples) == THE_FIVE_RECT_PAIRS)
+    checks.append(("rect-pairs-are-the-known-five", tuple(as_tuples) == THE_FIVE_RECT_PAIRS))
 
     heronian = triangles.enumerate_heronian(DEFAULTS.tri_max_perimeter)
     tri_pairs = triangles.match_amicable_triangles(heronian)
     tri_tuples = [(a.sides.as_tuple(), b.sides.as_tuple()) for a, b in tri_pairs]
-    passed.append(tri_tuples == [THE_TRIANGLE_PAIR])
-    passed.append(
-        all(a.area == b.perimeter() and b.area == a.perimeter() for a, b in tri_pairs)
+    checks.append(("tri-search-finds-single-known-pair", tri_tuples == [THE_TRIANGLE_PAIR]))
+    checks.append(
+        (
+            "tri-pair-cross-equalities",
+            all(
+                a.area == b.perimeter() and b.area == a.perimeter()
+                for a, b in tri_pairs
+            ),
+        )
     )
 
     embed_ok = True
@@ -334,32 +337,37 @@ def _verification_checks():
         want_squares = sorted(s * s for s in sides)
         embed_ok = embed_ok and emb.twice_area() == want_doubled
         embed_ok = embed_ok and sorted(emb.squared_sides()) == want_squares
-    passed.append(embed_ok)
+    checks.append(("embeddings-certify-both-triangles", embed_ok))
 
     dominant_ok = True
     for p in oracle_pairs:
         dominant = [r for r in (p.first, p.second) if rectangles.perimeter_dominant(r)]
         dominant_ok &= bool(dominant) and all(r.short in (1, 2) for r in dominant)
     candidates = rectangles.small_side_candidates(DEFAULTS.rect_max_side)
-    passed.append(dominant_ok and candidates == [1, 2])
+    checks.append(("dominant-member-short-side-is-1-or-2", dominant_ok and candidates == [1, 2]))
 
     equable_rects = rectangles.equable_rectangles(DEFAULTS.rect_max_side)
     rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
-    passed.append(
-        [(r.short, r.long) for r in equable_rects] == [(3, 6), (4, 4)]
-        and not rects_in_pairs.intersection(equable_rects)
+    checks.append(
+        (
+            "equable-rectangles-recovered-and-excluded",
+            [(r.short, r.long) for r in equable_rects] == [(3, 6), (4, 4)]
+            and not rects_in_pairs.intersection(equable_rects),
+        )
     )
 
     equable_tris = [h for h in heronian if h.area == h.perimeter()]
     tris_in_pairs = {h for pair in tri_pairs for h in pair}
-    passed.append(
-        len(equable_tris) == 5
-        and all(h.area == h.perimeter() for h in equable_tris)
-        and not tris_in_pairs.intersection(equable_tris)
+    checks.append(
+        (
+            "equable-triangles-recovered-and-excluded",
+            len(equable_tris) == 5
+            and all(h.area == h.perimeter() for h in equable_tris)
+            and not tris_in_pairs.intersection(equable_tris),
+        )
     )
 
     pair_records = _rect_pair_records(rect_pairs) + _tri_pair_records(tri_pairs)
-    checks = list(zip(matching.VERIFICATION_CHECKS, passed, strict=True))
     return checks, pair_records, rect_count + len(heronian)
 
 

@@ -17,6 +17,7 @@ from .lattice import (
     LATTICE_SYMMETRIES,
     LatticePoint,
     LatticePolygon,
+    is_perfect_square,
     transform_point,
     twice_area,
 )
@@ -32,6 +33,7 @@ __all__ = [
     "match_amicable_triangles",
     "find_amicable_triangle_pairs",
     "find_equable_triangles",
+    "sum_two_squares_reps",
     "embed_triangle",
 ]
 
@@ -168,10 +170,6 @@ def find_equable_triangles(max_perimeter: int) -> list[HeronianTriangle]:
     return [h for h in enumerate_heronian(max_perimeter) if h.area == h.perimeter()]
 
 
-class EmbeddingSearchError(RuntimeError):
-    """The embedding search ran out of candidates; impossible for certified input."""
-
-
 def _factor(m: int) -> list[tuple[int, int]]:
     """The prime factorisation of m >= 1 as sorted (p, e) pairs, by trial division."""
     factors = []
@@ -194,36 +192,70 @@ def _gaussian_mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def _square_reps(m: int) -> list[LatticePoint]:
-    """All (x, y) with x^2 + y^2 = m^2, sorted, from the factorisation of m >= 1.
+def _gaussian_powers(z: tuple[int, int], e: int) -> list[tuple[int, int]]:
+    """z^0, z^1, ..., z^e for the Gaussian integer z[0] + z[1]*i."""
+    powers = [(1, 0)]
+    for _ in range(e):
+        powers.append(_gaussian_mul(powers[-1], z))
+    return powers
 
-    These are the Gaussian integers of norm m^2.  For each p^e exactly
-    dividing m, a prime p = 2 or p = 3 (mod 4) contributes p^e up to a unit,
-    and a prime p = 1 (mod 4), split as p = pi * conj(pi), contributes one of
-    pi^j * conj(pi)^(2e - j) for j = 0..2e.  Every product of one choice per
-    prime, times each of the four units, is a point, and no two coincide;
-    there are r2(m^2) of them.
+
+def sum_two_squares_reps(n: int) -> list[LatticePoint]:
+    """All (p, q) with p, q >= 0 and p^2 + q^2 = n, sorted by p.
+
+    These are the Gaussian integers of norm n in the closed first quadrant,
+    built from the factorisation of n; a square n is factored through its
+    root, so trial division stops at n^(1/4).  For each p^e exactly dividing
+    n, a prime p = 3 (mod 4) contributes p^(e/2), or rules out every
+    representation when e is odd; p = 2 contributes (1 + i)^e; and a prime
+    p = 1 (mod 4), split as p = pi * conj(pi), contributes one of
+    pi^j * conj(pi)^(e - j) for j = 0..e.  The products of one choice per
+    prime, times each of the four units, are the r2(n) Gaussian integers of
+    norm n, each once.
     """
+    if n < 0:
+        raise ValueError(f"n must be nonnegative, got {n}")
+    if n == 0:
+        return [LatticePoint(0, 0)]
+    if is_perfect_square(n):
+        factors = [(p, 2 * e) for p, e in _factor(isqrt(n))]
+    else:
+        factors = _factor(n)
     gaussians = [(1, 0)]
-    for p, e in _factor(m):
-        if p % 4 == 1:
+    for p, e in factors:
+        if p % 4 == 3:
+            if e % 2:
+                return []
+            choices = [(p ** (e // 2), 0)]
+        elif p == 2:
+            choices = [_gaussian_powers((1, 1), e)[e]]
+        else:
             x = 1
-            while isqrt(p - x * x) ** 2 != p - x * x:
+            while not is_perfect_square(p - x * x):
                 x += 1
             y = isqrt(p - x * x)
-            powers, bar_powers = [(1, 0)], [(1, 0)]
-            for _ in range(2 * e):
-                powers.append(_gaussian_mul(powers[-1], (x, y)))
-                bar_powers.append(_gaussian_mul(bar_powers[-1], (x, -y)))
-            choices = [_gaussian_mul(powers[j], bar_powers[2 * e - j]) for j in range(2 * e + 1)]
-        else:
-            choices = [(p**e, 0)]
+            powers, bar_powers = _gaussian_powers((x, y), e), _gaussian_powers((x, -y), e)
+            choices = [_gaussian_mul(powers[j], bar_powers[e - j]) for j in range(e + 1)]
         gaussians = [_gaussian_mul(g, h) for g in gaussians for h in choices]
     return sorted(
-        LatticePoint(*point)
+        LatticePoint(x, y)
         for u, v in gaussians
-        for point in ((u, v), (-v, u), (-u, -v), (v, -u))
+        for x, y in ((u, v), (-v, u), (-u, -v), (v, -u))
+        if x >= 0 and y >= 0
     )
+
+
+class EmbeddingSearchError(RuntimeError):
+    """The embedding search ran out of candidates; impossible for certified input."""
+
+
+def _signed_reps(n: int) -> list[LatticePoint]:
+    pts = set()
+    for r in sum_two_squares_reps(n):
+        for sx in (1, -1):
+            for sy in (1, -1):
+                pts.add(LatticePoint(sx * r.x, sy * r.y))
+    return sorted(pts)
 
 
 def _canonical_placement(
@@ -295,7 +327,7 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     c_sq = s.c * s.c
     dot = (s.b * s.b + c_sq - s.a * s.a) // 2
     candidates = []
-    for p in _square_reps(s.c):
+    for p in _signed_reps(c_sq):
         for cross in (2 * t.area, -2 * t.area):
             qx, rx = divmod(dot * p.x - cross * p.y, c_sq)
             qy, ry = divmod(dot * p.y + cross * p.x, c_sq)

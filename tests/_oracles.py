@@ -103,7 +103,7 @@ def naive_rect_pairs(max_side):
     return sorted(pairs)
 
 
-def sum_two_squares_reps(n):
+def naive_two_squares(n):
     """All (p, q) with p, q >= 0 and p^2 + q^2 = n, sorted by p, by scanning p."""
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
@@ -117,9 +117,9 @@ def sum_two_squares_reps(n):
 
 
 def signed_square_sums(n):
-    """Sorted (x, y) of any signs with x^2 + y^2 = n: sum_two_squares_reps sign-completed."""
+    """Sorted (x, y) of any signs with x^2 + y^2 = n: naive_two_squares sign-completed."""
     return sorted(
-        {(sx * p, sy * q) for p, q in sum_two_squares_reps(n) for sx in (1, -1) for sy in (1, -1)}
+        {(sx * p, sy * q) for p, q in naive_two_squares(n) for sx in (1, -1) for sy in (1, -1)}
     )
 
 

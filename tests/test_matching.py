@@ -15,6 +15,7 @@ from amipoly.matching import (
     SearchReport,
     ShapeFingerprint,
     ShapeRecord,
+    VERIFICATION_CHECKS,
     assemble_report,
     match_amicable,
     report_from_dict,
@@ -174,6 +175,11 @@ class TestRoundTrip:
         assert rebuilt.pairs == report.pairs
         assert rebuilt.checks == report.checks
         assert rebuilt.bound == 54
+        verification = report_from_dict(canonical_report("verify all --format json"))
+        rebuilt = report_from_dict(json.loads(json.dumps(verification.to_canonical_dict())))
+        assert rebuilt.pairs == verification.pairs
+        assert rebuilt.checks == verification.checks
+        assert [name for name, _ in rebuilt.checks] == list(VERIFICATION_CHECKS)
 
     def test_tampered_area_detected(self):
         d = self.report().to_canonical_dict()

@@ -12,20 +12,21 @@ from amipoly.triangles import (
     HeronianTriangle,
     TriangleSides,
     _canonical_placement,
-    _square_reps,
+    _signed_reps,
     as_heronian,
     embed_triangle,
     enumerate_heronian,
     find_amicable_triangle_pairs,
     find_equable_triangles,
     sixteen_area_sq,
+    sum_two_squares_reps,
 )
 
 from _oracles import (
     naive_embedding_candidates,
     naive_heronian_triples,
+    naive_two_squares,
     signed_square_sums,
-    sum_two_squares_reps,
 )
 
 # golden values produced by the definitional brute-force scan, in
@@ -161,28 +162,35 @@ class TestEquableTriangles:
 
 class TestSumTwoSquares:
     def test_twenty_five(self):
-        assert sum_two_squares_reps(25) == [
+        assert [(p.x, p.y) for p in sum_two_squares_reps(25)] == [
             (0, 5), (3, 4), (4, 3), (5, 0),
         ]
 
     def test_two(self):
-        assert sum_two_squares_reps(2) == [(1, 1)]
+        assert [(p.x, p.y) for p in sum_two_squares_reps(2)] == [(1, 1)]
 
     def test_625(self):
-        got = set(sum_two_squares_reps(625))
+        got = {(p.x, p.y) for p in sum_two_squares_reps(625)}
         assert {(7, 24), (15, 20), (20, 15), (24, 7), (0, 25), (25, 0)} <= got
 
     def test_defining_property(self):
         for n in range(0, 500):
-            for x, y in sum_two_squares_reps(n):
-                assert x >= 0 and y >= 0 and x * x + y * y == n
+            for p in sum_two_squares_reps(n):
+                assert p.x >= 0 and p.y >= 0 and p.x * p.x + p.y * p.y == n
 
+    def test_negative_rejected(self):
+        with pytest.raises(ValueError):
+            sum_two_squares_reps(-1)
 
-class TestSquareReps:
-    def test_equals_sign_completed_scan(self):
-        # every m up to 2500, then larger products with repeated primes = 1 (mod 4)
-        for m in (*range(1, 2501), 5**3 * 29, 2 * 3 * 5 * 5 * 13 * 37, 7 * 11 * 13 * 13):
-            assert [(p.x, p.y) for p in _square_reps(m)] == signed_square_sums(m * m), m
+    def test_equals_scan(self):
+        # every n up to 20000, then squares of products with repeated primes = 1 (mod 4)
+        big = [m * m for m in (5**3 * 29, 2 * 3 * 5 * 5 * 13 * 37, 7 * 11 * 13 * 13)]
+        for n in (*range(0, 20001), *big, 2**7 * 5**3 * 9 * 13, 3 * 5**4):
+            assert [(p.x, p.y) for p in sum_two_squares_reps(n)] == naive_two_squares(n), n
+
+    def test_signed_squares_equal_sign_completed_scan(self):
+        for m in range(1, 2501):
+            assert [(p.x, p.y) for p in _signed_reps(m * m)] == signed_square_sums(m * m), m
 
 
 class TestEmbedding:
