@@ -22,14 +22,13 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass
 
 from . import matching, rectangles, triangles
-from .matching import SearchReport, ShapeRecord, assemble_report
+from .matching import SearchReport, ShapeRecord, assemble_report, rect_count
 from .rectangles import RectSides
 from .triangles import HeronianTriangle, TriangleSides
 
-__all__ = ["DEFAULTS", "main", "run"]
+__all__ = ["RECT_MAX_SIDE", "TRI_MAX_PERIMETER", "main", "run"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -39,15 +38,9 @@ EXIT_VERIFY_FAILED = 3
 FORMATS = ("table", "json", "csv")
 
 
-@dataclass(frozen=True)
-class Defaults:
-    """The one place default search bounds live; flags override per run."""
-
-    rect_max_side: int = 200
-    tri_max_perimeter: int = 120
-
-
-DEFAULTS = Defaults()
+# The one place default search bounds live; flags override per run.
+RECT_MAX_SIDE = 200
+TRI_MAX_PERIMETER = 120
 
 
 # --- record builders -------------------------------------------------------
@@ -67,11 +60,6 @@ def _rect_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
 
 def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
     return [(_tri_record(a), _tri_record(b)) for a, b in pairs]
-
-
-def _rect_count(max_side: int) -> int:
-    """Canonical rectangles with both sides <= max_side."""
-    return max_side * (max_side + 1) // 2
 
 
 # --- output ----------------------------------------------------------------
@@ -174,9 +162,7 @@ def cmd_rect_oracle(max_side: int, fmt: str) -> int:
         print(f"error: --max-side must be positive, got {max_side}", file=sys.stderr)
         return EXIT_USAGE
     pairs = rectangles.brute_force_pairs(max_side)
-    report = assemble_report(
-        "rectangles", max_side, [], _rect_pair_records(pairs), shapes_scanned=_rect_count(max_side)
-    )
+    report = assemble_report("rectangles", max_side, [], _rect_pair_records(pairs))
     _emit_report(report, fmt)
     return EXIT_OK
 
@@ -305,15 +291,14 @@ def _verification_checks():
     checks: list[tuple[str, bool]] = []
 
     rect_pairs = rectangles.enumerate_by_divisors()
-    oracle_pairs = rectangles.brute_force_pairs(DEFAULTS.rect_max_side)
-    rect_count = _rect_count(DEFAULTS.rect_max_side)
+    oracle_pairs = rectangles.brute_force_pairs(RECT_MAX_SIDE)
     checks.append(("rect-divisor-enumeration-matches-oracle", rect_pairs == oracle_pairs))
     as_tuples = [
         ((p.first.short, p.first.long), (p.second.short, p.second.long)) for p in rect_pairs
     ]
     checks.append(("rect-pairs-are-the-known-five", tuple(as_tuples) == THE_FIVE_RECT_PAIRS))
 
-    heronian = triangles.enumerate_heronian(DEFAULTS.tri_max_perimeter)
+    heronian = triangles.enumerate_heronian(TRI_MAX_PERIMETER)
     tri_pairs = triangles.match_amicable_triangles(heronian)
     tri_tuples = [(a.sides.as_tuple(), b.sides.as_tuple()) for a, b in tri_pairs]
     checks.append(("tri-search-finds-single-known-pair", tri_tuples == [THE_TRIANGLE_PAIR]))
@@ -343,10 +328,10 @@ def _verification_checks():
     for p in oracle_pairs:
         dominant = [r for r in (p.first, p.second) if rectangles.perimeter_dominant(r)]
         dominant_ok &= bool(dominant) and all(r.short in (1, 2) for r in dominant)
-    candidates = rectangles.small_side_candidates(DEFAULTS.rect_max_side)
+    candidates = rectangles.small_side_candidates(RECT_MAX_SIDE)
     checks.append(("dominant-member-short-side-is-1-or-2", dominant_ok and candidates == [1, 2]))
 
-    equable_rects = rectangles.equable_rectangles(DEFAULTS.rect_max_side)
+    equable_rects = rectangles.equable_rectangles(RECT_MAX_SIDE)
     rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
     checks.append(
         (
@@ -368,7 +353,7 @@ def _verification_checks():
     )
 
     pair_records = _rect_pair_records(rect_pairs) + _tri_pair_records(tri_pairs)
-    return checks, pair_records, rect_count + len(heronian)
+    return checks, pair_records, rect_count(RECT_MAX_SIDE) + len(heronian)
 
 
 def cmd_verify_all(fmt: str) -> int:
@@ -412,25 +397,25 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-x", type=int, required=True)
     _add_format(p)
     p = rect_cmds.add_parser("oracle", help="exhaustive scan up to a side bound")
-    p.add_argument("--max-side", type=int, default=DEFAULTS.rect_max_side)
+    p.add_argument("--max-side", type=int, default=RECT_MAX_SIDE)
     _add_format(p)
 
     tri = groups.add_parser("tri", help="amicable triangle commands")
     tri_cmds = tri.add_subparsers(dest="command", required=True, parser_class=_Parser)
     p = tri_cmds.add_parser("search", help="amicable pairs up to a perimeter bound")
-    p.add_argument("--max-perimeter", type=int, default=DEFAULTS.tri_max_perimeter)
+    p.add_argument("--max-perimeter", type=int, default=TRI_MAX_PERIMETER)
     _add_format(p)
     p = tri_cmds.add_parser("embed", help="lattice placement of a heronian triangle")
     p.add_argument("sides", type=int, nargs=3, metavar=("A", "B", "C"))
     _add_format(p)
     p = tri_cmds.add_parser("equable", help="triangles with area equal to perimeter")
-    p.add_argument("--max-perimeter", type=int, default=DEFAULTS.tri_max_perimeter)
+    p.add_argument("--max-perimeter", type=int, default=TRI_MAX_PERIMETER)
     _add_format(p)
 
     equable = groups.add_parser("equable", help="equable shape listings")
     eq_cmds = equable.add_subparsers(dest="command", required=True, parser_class=_Parser)
     p = eq_cmds.add_parser("rect", help="rectangles with area equal to perimeter")
-    p.add_argument("--max-side", type=int, default=DEFAULTS.rect_max_side)
+    p.add_argument("--max-side", type=int, default=RECT_MAX_SIDE)
     _add_format(p)
 
     verify = groups.add_parser("verify", help="consolidated verification")

@@ -9,10 +9,11 @@ are never materialised as floats.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import operator
 from math import gcd, isqrt
 
 __all__ = [
+    "Record",
     "LatticePoint",
     "LatticePolygon",
     "RadicalSum",
@@ -39,20 +40,76 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
-@dataclass(frozen=True, order=True)
-class LatticePoint:
+def _by_fields(compare):
+    """A comparison method that applies compare to the fields of two records of
+    the same class, and defers on anything else."""
+
+    def method(self, other):
+        if other.__class__ is self.__class__:
+            key = self._key
+            return compare(key(self), key(other))
+        return NotImplemented
+
+    return method
+
+
+class Record:
+    """An immutable value whose fields are the names in its class's __slots__.
+
+    Records compare, order and hash by the tuple of their fields, in slot
+    order, and only with records of the same class, so a record never equals
+    a bare tuple.  Assigning an attribute raises AttributeError: a subclass
+    validates its arguments in __init__ and stores each field with
+    self._store(name, value).  Plain classes, not dataclasses: importing
+    dataclasses and generating the classes took longer than most commands'
+    compute.
+    """
+
+    __slots__ = ()
+    _store = object.__setattr__
+
+    def __init_subclass__(cls):
+        # The fields as a tuple; a lone field comes bare, which orders and
+        # hashes alike within a class.
+        cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of a {type(self).__name__}")
+
+    __eq__ = _by_fields(operator.eq)
+    __lt__ = _by_fields(operator.lt)
+    __le__ = _by_fields(operator.le)
+    __gt__ = _by_fields(operator.gt)
+    __ge__ = _by_fields(operator.ge)
+
+    def __hash__(self):
+        return hash(self._key(self))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return type(self), tuple(getattr(self, name) for name in self.__slots__)
+
+
+class LatticePoint(Record):
     """A point of the integer lattice.
 
     Coordinates are plain Python integers, so arithmetic is exact at any
     magnitude; there is no silent wraparound to guard against.
     """
 
-    x: int
-    y: int
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if type(self.x) is not int or type(self.y) is not int:
+    def __init__(self, x: int, y: int):
+        if type(x) is not int or type(y) is not int:
             raise TypeError("lattice coordinates must be integers")
+        self._store("x", x)
+        self._store("y", y)
 
     def __add__(self, other: "LatticePoint") -> "LatticePoint":
         return LatticePoint(self.x + other.x, self.y + other.y)
@@ -84,8 +141,7 @@ def transform_point(sym: tuple[int, int, int, int], p: LatticePoint) -> LatticeP
     return LatticePoint(a * p.x + b * p.y, c * p.x + d * p.y)
 
 
-@dataclass(frozen=True)
-class LatticePolygon:
+class LatticePolygon(Record):
     """A polygon with vertices on the integer lattice, in boundary order.
 
     Consecutive vertices must be distinct.  Simplicity (no self
@@ -94,16 +150,17 @@ class LatticePolygon:
     documented caller obligation for anything else.
     """
 
-    vertices: tuple[LatticePoint, ...]
+    __slots__ = ("vertices",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "vertices", tuple(self.vertices))
-        if len(self.vertices) < 3:
+    def __init__(self, vertices: tuple[LatticePoint, ...]):
+        vertices = tuple(vertices)
+        if len(vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        n = len(self.vertices)
+        n = len(vertices)
         for i in range(n):
-            if self.vertices[i] == self.vertices[(i + 1) % n]:
+            if vertices[i] == vertices[(i + 1) % n]:
                 raise ValueError("consecutive vertices must be distinct")
+        self._store("vertices", vertices)
 
     @classmethod
     def from_coords(cls, coords) -> "LatticePolygon":
@@ -184,23 +241,23 @@ def integer_side_lengths(poly: LatticePolygon) -> list[int] | None:
     return out
 
 
-@dataclass(frozen=True)
-class RadicalSum:
+class RadicalSum(Record):
     """A value of the form sum(sqrt(a_i)), stored as the multiset of radicands.
 
     The represented value is rational exactly when every radicand is a
     perfect square, in which case it is the integer sum of the roots.
     """
 
-    radicands: tuple[int, ...]
+    __slots__ = ("radicands",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "radicands", tuple(sorted(self.radicands)))
-        if not self.radicands:
+    def __init__(self, radicands: tuple[int, ...]):
+        radicands = tuple(sorted(radicands))
+        if not radicands:
             raise ValueError("a radical sum needs at least one radicand")
-        for a in self.radicands:
-            if not isinstance(a, int) or a < 1:
+        for a in radicands:
+            if type(a) is not int or a < 1:
                 raise ValueError(f"radicand must be a positive integer, got {a!r}")
+        self._store("radicands", radicands)
 
     @classmethod
     def of(cls, *radicands: int) -> "RadicalSum":

@@ -9,7 +9,7 @@ serialized results are never trusted blindly.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from .lattice import Record
 
 __all__ = [
     "CertificateError",
@@ -19,6 +19,7 @@ __all__ = [
     "ShapeRecord",
     "match_amicable",
     "SearchReport",
+    "rect_count",
     "assemble_report",
     "report_from_dict",
 ]
@@ -49,23 +50,27 @@ class CertificateError(ValueError):
     """A pair or shape certificate failed re-verification."""
 
 
-@dataclass(frozen=True, order=True)
-class ShapeFingerprint:
+class ShapeFingerprint(Record):
     """The exact invariants a shape contributes to amicability matching."""
 
-    area: int
-    perimeter: int
-    shape_id: str
+    __slots__ = ("area", "perimeter", "shape_id")
+
+    def __init__(self, area: int, perimeter: int, shape_id: str):
+        self._store("area", area)
+        self._store("perimeter", perimeter)
+        self._store("shape_id", shape_id)
 
 
-@dataclass(frozen=True, order=True)
-class ShapeRecord:
+class ShapeRecord(Record):
     """A shape with canonical sorted sides; the unit reports are built from."""
 
-    family: str
-    sides: tuple[int, ...]
-    area: int
-    perimeter: int
+    __slots__ = ("family", "sides", "area", "perimeter")
+
+    def __init__(self, family: str, sides: tuple[int, ...], area: int, perimeter: int):
+        self._store("family", family)
+        self._store("sides", sides)
+        self._store("area", area)
+        self._store("perimeter", perimeter)
 
     @property
     def shape_id(self) -> str:
@@ -146,19 +151,29 @@ def match_amicable(
     return sorted(pairs, key=lambda p: (p[0].shape_id, p[1].shape_id))
 
 
-@dataclass(frozen=True)
-class SearchReport:
+class SearchReport(Record):
     """Deterministic, certificate-carrying result of one search run.
 
     Identical inputs serialize byte-identically.
     """
 
-    family: str
-    bound: int | None
-    shapes_scanned: int
-    pairs: tuple[tuple[ShapeRecord, ShapeRecord], ...]
-    shapes: tuple[ShapeRecord, ...] = ()
-    checks: tuple[tuple[str, bool], ...] = ()
+    __slots__ = ("family", "bound", "shapes_scanned", "pairs", "shapes", "checks")
+
+    def __init__(
+        self,
+        family: str,
+        bound: int | None,
+        shapes_scanned: int,
+        pairs: tuple[tuple[ShapeRecord, ShapeRecord], ...],
+        shapes: tuple[ShapeRecord, ...] = (),
+        checks: tuple[tuple[str, bool], ...] = (),
+    ):
+        self._store("family", family)
+        self._store("bound", bound)
+        self._store("shapes_scanned", shapes_scanned)
+        self._store("pairs", pairs)
+        self._store("shapes", shapes)
+        self._store("checks", checks)
 
     def to_canonical_dict(self) -> dict:
         out = {
@@ -178,6 +193,11 @@ class SearchReport:
         return out
 
 
+def rect_count(max_side: int) -> int:
+    """Canonical rectangles with both sides <= max_side."""
+    return max_side * (max_side + 1) // 2
+
+
 def assemble_report(
     family: str,
     bound: int | None,
@@ -190,9 +210,13 @@ def assemble_report(
 
     Shape lists are retained in the report only for the equable families,
     where the shapes themselves are the result; pair searches keep just the
-    scan count (len(shapes) unless shapes_scanned overrides it).  A pair
-    that fails its cross equalities, a repeated pair or kept shape, a shape
-    beyond a non-null bound of a shape family, or checks other than
+    scan count.  A rectangles report scans every canonical rectangle within
+    its bound (none for the exact enumeration) and an equable report its own
+    shapes, and a shapes_scanned that disagrees is rejected; for triangles
+    and verification reports the count is shapes_scanned, or len(shapes)
+    when that is None.  A pair that fails its cross equalities, a repeated
+    pair or kept shape, a shape beyond a non-null bound, a bound below 1 or
+    a bound on a verification report, or checks other than
     VERIFICATION_CHECKS on a verification report (none on any other family)
     aborts assembly.
     """
@@ -201,16 +225,26 @@ def assemble_report(
     if tuple(name for name, _ in checks) != (VERIFICATION_CHECKS if family == "verification" else ()):
         raise CertificateError(f"a {family} report does not carry its fixed list of checks")
     # A verification report mixes rectangles and triangles, whose bounds differ.
-    shape_bound = None if family == "verification" else bound
+    if bound is not None and (bound < 1 or family == "verification"):
+        raise CertificateError(f"a {family} report cannot have the bound {bound}")
+    if family == "rectangles":
+        scanned = 0 if bound is None else rect_count(bound)
+    elif family.startswith("equable"):
+        scanned = len(shapes)
+    else:
+        # a heronian count, which only a new enumeration could check
+        scanned = len(shapes) if shapes_scanned is None else shapes_scanned
+    if shapes_scanned is not None and shapes_scanned != scanned:
+        raise CertificateError(f"a {family} report scans {scanned} shapes, not {shapes_scanned}")
     for rec in shapes:
         _verify_record(rec)
-        _verify_bound(rec, shape_bound)
+        _verify_bound(rec, bound)
     normalized = []
     for a, b in pairs:
         first, second = sorted((a, b), key=lambda r: (r.sides, r.family))
         _verify_pair(first, second)
-        _verify_bound(first, shape_bound)
-        _verify_bound(second, shape_bound)
+        _verify_bound(first, bound)
+        _verify_bound(second, bound)
         normalized.append((first, second))
     normalized.sort(key=lambda p: (p[0].sides, p[1].sides))
     keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if family.startswith("equable") else ()
@@ -219,7 +253,7 @@ def assemble_report(
     return SearchReport(
         family=family,
         bound=bound,
-        shapes_scanned=len(shapes) if shapes_scanned is None else shapes_scanned,
+        shapes_scanned=scanned,
         pairs=tuple(normalized),
         shapes=keep_shapes,
         checks=tuple(checks),

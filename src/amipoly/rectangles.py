@@ -8,10 +8,9 @@ exhaustive scan that uses nothing but the definition.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
-from .lattice import is_perfect_square
+from .lattice import Record, is_perfect_square
 
 __all__ = [
     "RectSides",
@@ -27,16 +26,16 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
-class RectSides:
+class RectSides(Record):
     """Canonical rectangle side record with short <= long."""
 
-    short: int
-    long: int
+    __slots__ = ("short", "long")
 
-    def __post_init__(self):
-        if self.short < 1 or self.long < self.short:
-            raise ValueError(f"need 1 <= short <= long, got {self.short}x{self.long}")
+    def __init__(self, short: int, long: int):
+        if short < 1 or long < short:
+            raise ValueError(f"need 1 <= short <= long, got {short}x{long}")
+        self._store("short", short)
+        self._store("long", long)
 
     @classmethod
     def of(cls, a: int, b: int) -> "RectSides":
@@ -52,23 +51,20 @@ class RectSides:
         return f"{self.short}x{self.long}"
 
 
-@dataclass(frozen=True, order=True)
-class RectAmicablePair:
+class RectAmicablePair(Record):
     """Unordered pair of distinct rectangles, cross equalities re-checked on construction."""
 
-    first: RectSides
-    second: RectSides
+    __slots__ = ("first", "second")
 
-    def __post_init__(self):
-        if self.first == self.second:
-            raise ValueError(f"a rectangle does not pair with itself: {self.first}")
-        if self.first > self.second:
+    def __init__(self, first: RectSides, second: RectSides):
+        if first == second:
+            raise ValueError(f"a rectangle does not pair with itself: {first}")
+        if first > second:
             raise ValueError("pair must be stored with first <= second")
-        if (
-            self.first.area() != self.second.perimeter()
-            or self.second.area() != self.first.perimeter()
-        ):
-            raise ValueError(f"cross equalities fail for {self.first} and {self.second}")
+        if first.area() != second.perimeter() or second.area() != first.perimeter():
+            raise ValueError(f"cross equalities fail for {first} and {second}")
+        self._store("first", first)
+        self._store("second", second)
 
     @classmethod
     def of(cls, r1: RectSides, r2: RectSides) -> "RectAmicablePair":
@@ -127,13 +123,16 @@ def small_side_candidates(max_side: int) -> list[int]:
     return sorted(shorts)
 
 
-@dataclass(frozen=True)
-class PartnerSolution:
+class PartnerSolution(Record):
     """Outcome of solving the amicability system for fixed short sides a and x."""
 
-    status: str  # "solved" | "singular" | "non-integer" | "non-positive"
-    b: int | None = None
-    y: int | None = None
+    __slots__ = ("status", "b", "y")
+
+    def __init__(self, status: str, b: int | None = None, y: int | None = None):
+        # status is "solved", "singular", "non-integer" or "non-positive"
+        self._store("status", status)
+        self._store("b", b)
+        self._store("y", y)
 
     @property
     def solved(self) -> bool:
@@ -227,12 +226,12 @@ def brute_force_pairs(max_side: int) -> list[RectAmicablePair]:
 
 
 def equable_rectangles(max_side: int) -> list[RectSides]:
-    """Rectangles with area equal to perimeter, sides <= max_side, sorted."""
+    """Rectangles with area equal to perimeter, sides <= max_side, sorted.
+
+    a*b = 2*(a + b) is (a - 2)*(b - 2) = 4.  A factor a - 2 <= 0 leaves
+    b <= 0, so with a <= b the factors are 1 and 4, or 2 and 2: the 3x6 and
+    4x4 rectangles are the only ones at any bound.
+    """
     if max_side < 1:
         raise ValueError(f"max_side must be positive, got {max_side}")
-    return sorted(
-        RectSides(a, b)
-        for a in range(1, max_side + 1)
-        for b in range(a, max_side + 1)
-        if a * b == 2 * (a + b)
-    )
+    return [r for r in (RectSides(3, 6), RectSides(4, 4)) if r.long <= max_side]

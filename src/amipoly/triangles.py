@@ -10,13 +10,13 @@ reflection, and it is kept when its coordinates are integers.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .lattice import (
     LATTICE_SYMMETRIES,
     LatticePoint,
     LatticePolygon,
+    Record,
     is_perfect_square,
     transform_point,
     twice_area,
@@ -40,19 +40,19 @@ __all__ = [
 _ORIGIN = LatticePoint(0, 0)
 
 
-@dataclass(frozen=True, order=True)
-class TriangleSides:
+class TriangleSides(Record):
     """Canonical side triple a <= b <= c satisfying the strict triangle inequality."""
 
-    a: int
-    b: int
-    c: int
+    __slots__ = ("a", "b", "c")
 
-    def __post_init__(self):
-        if not 1 <= self.a <= self.b <= self.c:
-            raise ValueError(f"sides must satisfy 1 <= a <= b <= c, got {self}")
-        if self.a + self.b <= self.c:
-            raise ValueError(f"triangle inequality fails for {self}")
+    def __init__(self, a: int, b: int, c: int):
+        if not 1 <= a <= b <= c:
+            raise ValueError(f"sides must satisfy 1 <= a <= b <= c, got {a}x{b}x{c}")
+        if a + b <= c:
+            raise ValueError(f"triangle inequality fails for {a}x{b}x{c}")
+        self._store("a", a)
+        self._store("b", b)
+        self._store("c", c)
 
     @classmethod
     def of(cls, x: int, y: int, z: int) -> "TriangleSides":
@@ -78,16 +78,16 @@ def sixteen_area_sq(t: TriangleSides) -> int:
     return t.sixteen_area_sq()
 
 
-@dataclass(frozen=True, order=True)
-class HeronianTriangle:
+class HeronianTriangle(Record):
     """A side triple together with its certified integer area."""
 
-    sides: TriangleSides
-    area: int
+    __slots__ = ("sides", "area")
 
-    def __post_init__(self):
-        if self.area < 1 or 16 * self.area * self.area != self.sides.sixteen_area_sq():
-            raise ValueError(f"area {self.area} is not certified for sides {self.sides}")
+    def __init__(self, sides: TriangleSides, area: int):
+        if area < 1 or 16 * area * area != sides.sixteen_area_sq():
+            raise ValueError(f"area {area} is not certified for sides {sides}")
+        self._store("sides", sides)
+        self._store("area", area)
 
     def perimeter(self) -> int:
         return self.sides.perimeter()
@@ -275,22 +275,24 @@ def _canonical_placement(
     return LatticePoint(best[0], best[1]), LatticePoint(best[2], best[3])
 
 
-@dataclass(frozen=True)
-class TriangleEmbedding:
+class TriangleEmbedding(Record):
     """A lattice placement of a heronian triangle, certificate-checked on construction."""
 
-    triangle: HeronianTriangle
-    v0: LatticePoint
-    v1: LatticePoint
-    v2: LatticePoint
+    __slots__ = ("triangle", "v0", "v1", "v2")
 
-    def __post_init__(self):
-        sides = self.triangle.sides
+    def __init__(
+        self, triangle: HeronianTriangle, v0: LatticePoint, v1: LatticePoint, v2: LatticePoint
+    ):
+        self._store("triangle", triangle)
+        self._store("v0", v0)
+        self._store("v1", v1)
+        self._store("v2", v2)
+        sides = triangle.sides
         want = sorted((sides.a**2, sides.b**2, sides.c**2))
         if sorted(self.squared_sides()) != want:
             raise ValueError(f"embedding does not realise the sides {sides}")
-        if self.twice_area() != 2 * self.triangle.area:
-            raise ValueError(f"embedding area disagrees with certified area {self.triangle.area}")
+        if self.twice_area() != 2 * triangle.area:
+            raise ValueError(f"embedding area disagrees with certified area {triangle.area}")
 
     def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
         return (self.v0, self.v1, self.v2)

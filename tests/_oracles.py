@@ -103,6 +103,17 @@ def naive_rect_pairs(max_side):
     return sorted(pairs)
 
 
+def naive_equable_rectangles(max_side):
+    """Sorted (a, b) with a <= b <= max_side and a*b = 2*(a + b), from a scan of
+    every rectangle."""
+    return [
+        (a, b)
+        for a in range(1, max_side + 1)
+        for b in range(a, max_side + 1)
+        if a * b == 2 * (a + b)
+    ]
+
+
 def naive_two_squares(n):
     """All (p, q) with p, q >= 0 and p^2 + q^2 = n, sorted by p, by scanning p."""
     if n < 0:

@@ -1,4 +1,9 @@
+import os
+import pickle
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +26,10 @@ from amipoly.lattice import (
     twice_area,
     two_radical_sum_is_rational,
 )
+
+from amipoly.matching import ShapeRecord
+from amipoly.rectangles import RectSides
+from amipoly.triangles import HeronianTriangle, TriangleSides
 
 from _oracles import direct_boundary_count, direct_interior_count, floor_sqrt_scaled
 
@@ -179,6 +188,13 @@ class TestRadicalSums:
     def test_multiset_is_canonical(self):
         assert RadicalSum.of(9, 4).radicands == (4, 9)
 
+    def test_bool_radicand_rejected(self):
+        # True == 1 is a perfect square, so a bool would read as rational
+        with pytest.raises(ValueError):
+            RadicalSum.of(True, 4)
+        with pytest.raises(ValueError):
+            RadicalSum((4, False))
+
 
 @given(
     p=st.integers(-50, 50),
@@ -272,3 +288,91 @@ def test_elementary_paths_agree_with_characterisation():
         assert three_radical_sum_is_rational(a, b, c) == radical_sum_is_rational(
             RadicalSum.of(a, b, c)
         ), (a, b, c)
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Two records of each class, given in field-tuple order, and the fields of each.
+RECORD_CASES = {
+    "RectSides": lambda: [(RectSides(2, 13), (2, 13)), (RectSides(3, 10), (3, 10))],
+    "TriangleSides": lambda: [
+        (TriangleSides(3, 25, 26), (3, 25, 26)),
+        (TriangleSides(9, 12, 15), (9, 12, 15)),
+    ],
+    "HeronianTriangle": lambda: [
+        (HeronianTriangle(TriangleSides(5, 5, 6), 12), (TriangleSides(5, 5, 6), 12)),
+        (HeronianTriangle(TriangleSides(5, 5, 8), 12), (TriangleSides(5, 5, 8), 12)),
+    ],
+    "ShapeRecord": lambda: [
+        (ShapeRecord("rectangles", (1, 34), 34, 70), ("rectangles", (1, 34), 34, 70)),
+        (ShapeRecord("rectangles", (7, 10), 70, 34), ("rectangles", (7, 10), 70, 34)),
+    ],
+}
+
+
+class TestRecords:
+    def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
+        probe = (
+            "import sys; before = set(sys.modules); import amipoly.cli; "
+            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+        )
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        env = dict(os.environ, PYTHONPATH=path)
+        out = subprocess.run(
+            [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "[]"
+
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_unequal_to_its_field_tuple(self, name):
+        for record, fields in RECORD_CASES[name]():
+            assert record != fields and fields != record
+            assert tuple(getattr(record, field) for field in type(record).__slots__) == fields
+
+    def test_unequal_across_classes_with_equal_fields(self):
+        assert RectSides(2, 13) != LatticePoint(2, 13)
+
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_assignment_raises(self, name):
+        record, _ = RECORD_CASES[name]()[0]
+        field = type(record).__slots__[0]
+        with pytest.raises(AttributeError):
+            setattr(record, field, getattr(record, field))
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.extra = 1
+
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_hash_agrees_with_equality(self, name):
+        (first, _), (second, _) = RECORD_CASES[name]()
+        (again, _), _ = RECORD_CASES[name]()
+        assert first is not again and first == again and hash(first) == hash(again)
+        assert first != second
+        assert len({first, again, second}) == 2
+
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_sorted_order_is_field_tuple_order(self, name):
+        cases = RECORD_CASES[name]()
+        records = [record for record, _ in cases]
+        assert sorted(reversed(records)) == records
+        assert records[0] < records[1] and records[1] > records[0]
+        assert records[0] <= records[0] >= records[0]
+        assert sorted(fields for _, fields in cases) == [fields for _, fields in cases]
+        with pytest.raises(TypeError):
+            records[0] < cases[0][1]
+
+    @pytest.mark.parametrize("name", RECORD_CASES)
+    def test_repr_and_pickle(self, name):
+        record, _ = RECORD_CASES[name]()[0]
+        assert repr(record).startswith(f"{name}(")
+        assert pickle.loads(pickle.dumps(record)) == record
+        assert repr(RectSides(2, 13)) == "RectSides(short=2, long=13)"
+
+    def test_construction_validates(self):
+        with pytest.raises(ValueError):
+            RectSides(3, 2)
+        with pytest.raises(ValueError):
+            TriangleSides(1, 2, 3)
+        with pytest.raises(ValueError):
+            HeronianTriangle(TriangleSides(5, 5, 6), 13)

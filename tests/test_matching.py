@@ -116,7 +116,7 @@ class TestMatchAmicable:
 class TestAssembleReport:
     def test_empty_inputs(self):
         report = assemble_report("rectangles", 10, [], [])
-        assert report.shapes_scanned == 0
+        assert report.shapes_scanned == 55  # every rectangle within the bound
         assert report.pairs == ()
 
     def test_reverifies_pairs(self):
@@ -143,7 +143,7 @@ class TestAssembleReport:
     def test_pair_family_drops_shape_list(self):
         report = assemble_report("rectangles", 10, [rect_record(2, 3)], [])
         assert report.shapes == ()
-        assert report.shapes_scanned == 1
+        assert report.shapes_scanned == 55  # every rectangle within the bound
 
     def test_inconsistent_shape_rejected(self):
         with pytest.raises(CertificateError):
@@ -308,6 +308,51 @@ class TestRoundTrip:
         d["bound"] = bound
         with pytest.raises(CertificateError):
             report_from_dict(d)
+
+    @pytest.mark.parametrize("bound", [7, 1000])
+    def test_bound_on_verification_report_rejected(self, bound):
+        d = canonical_report("verify all --format json")
+        d["bound"] = bound
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize("scanned", [3, 1829, 1831])
+    def test_rectangles_scan_count_tied_to_bound(self, scanned):
+        d = canonical_report("rect oracle --max-side 60 --format json")
+        assert d["shapes_scanned"] == 60 * 61 // 2
+        d["shapes_scanned"] = scanned
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_exact_rectangles_report_scans_nothing(self):
+        d = canonical_report("rect enumerate --format json")
+        assert d["bound"] is None and d["shapes_scanned"] == 0
+        d["shapes_scanned"] = 3
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "command", ["equable rect --format json", "tri equable --max-perimeter 200 --format json"]
+    )
+    def test_equable_scan_count_is_the_shape_count(self, command):
+        d = canonical_report(command)
+        assert d["shapes_scanned"] == len(d["shapes"])
+        d["shapes_scanned"] = 3
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize("bound, scanned", [(0, 0), (-3, 3)])
+    def test_bound_below_one_rejected(self, bound, scanned):
+        d = canonical_report("rect oracle --max-side 60 --format json")
+        d.update(bound=bound, shapes_scanned=scanned, pairs=[])
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_conflicting_scan_count_rejected_on_assembly(self):
+        with pytest.raises(CertificateError):
+            assemble_report("rectangles", 10, [], [], shapes_scanned=54)
+        assert assemble_report("rectangles", 10, [], [], shapes_scanned=55).shapes_scanned == 55
+        assert assemble_report("triangles", 10, [], [], shapes_scanned=7).shapes_scanned == 7
 
     def test_shape_list_on_pair_report_rejected(self):
         d = self.report().to_canonical_dict()

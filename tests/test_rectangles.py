@@ -16,7 +16,7 @@ from amipoly.rectangles import (
     solve_partner,
 )
 
-from _oracles import naive_rect_pairs, naive_small_side_candidates
+from _oracles import naive_equable_rectangles, naive_rect_pairs, naive_small_side_candidates
 
 THE_FIVE = [
     ((1, 34), (7, 10)),
@@ -202,6 +202,16 @@ class TestEquableRectangles:
         # area = perimeter is exactly (a-2)(b-2) = 4
         for r in equable_rectangles(100):
             assert (r.short - 2) * (r.long - 2) == 4
+
+    def test_closed_form_equals_scan(self):
+        for n in range(1, 201):
+            got = [(r.short, r.long) for r in equable_rectangles(n)]
+            assert got == naive_equable_rectangles(n), n
+
+    def test_large_bound_and_bad_bound(self):
+        assert equable_rectangles(10**12) == [RectSides(3, 6), RectSides(4, 4)]
+        with pytest.raises(ValueError):
+            equable_rectangles(0)
 
 
 class TestPairCertificates:
