@@ -25,8 +25,7 @@ import sys
 
 from . import matching, rectangles, triangles
 from .matching import SearchReport, ShapeRecord, assemble_report, rect_count
-from .rectangles import RectSides
-from .triangles import HeronianTriangle, TriangleSides
+from .triangles import TriangleSides
 
 __all__ = ["RECT_MAX_SIDE", "TRI_MAX_PERIMETER", "main", "run"]
 
@@ -46,20 +45,15 @@ TRI_MAX_PERIMETER = 120
 # --- record builders -------------------------------------------------------
 
 
-def _rect_record(r: RectSides, family: str = "rectangles") -> ShapeRecord:
-    return ShapeRecord(family, (r.short, r.long), r.area(), r.perimeter())
-
-
-def _tri_record(h: HeronianTriangle, family: str = "triangles") -> ShapeRecord:
-    return ShapeRecord(family, h.sides.as_tuple(), h.area, h.perimeter())
-
-
 def _rect_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
-    return [(_rect_record(p.first), _rect_record(p.second)) for p in pairs]
+    return [
+        (ShapeRecord((p.first.short, p.first.long)), ShapeRecord((p.second.short, p.second.long)))
+        for p in pairs
+    ]
 
 
 def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
-    return [(_tri_record(a), _tri_record(b)) for a, b in pairs]
+    return [(ShapeRecord(a.sides.as_tuple()), ShapeRecord(b.sides.as_tuple())) for a, b in pairs]
 
 
 # --- output ----------------------------------------------------------------
@@ -72,10 +66,6 @@ def _print_json(payload: dict):
 def _csv_writer():
     buf = io.StringIO()
     return buf, csv.writer(buf, lineterminator="\n")
-
-
-def _sides_str(rec: ShapeRecord) -> str:
-    return "x".join(str(s) for s in rec.sides)
 
 
 def _emit_single(fmt: str, payload: dict, header: list, row: list, lines: list[str]):
@@ -128,14 +118,14 @@ def _emit_report(report: SearchReport, fmt: str):
         if report.shapes:
             print(f"{'sides':<12}{'area':>8}{'perimeter':>12}")
             for s in report.shapes:
-                print(f"{_sides_str(s):<12}{s.area:>8}{s.perimeter:>12}")
+                print(f"{s.shape_id:<12}{s.area:>8}{s.perimeter:>12}")
     if report.pairs or not report.family.startswith("equable"):
         print(f"pairs: {len(report.pairs)}")
         if report.pairs:
             print(f"{'first':<12}{'second':<12}{'area1':>6}{'perim1':>8}{'area2':>7}{'perim2':>8}")
             for a, b in report.pairs:
                 print(
-                    f"{_sides_str(a):<12}{_sides_str(b):<12}"
+                    f"{a.shape_id:<12}{b.shape_id:<12}"
                     f"{a.area:>6}{a.perimeter:>8}{b.area:>7}{b.perimeter:>8}"
                 )
     if report.checks:
@@ -182,11 +172,11 @@ def cmd_rect_solve(a: int, x: int, fmt: str) -> int:
     }
     line = f"no solution: {sol.status}"
     if sol.solved:
-        first = _rect_record(RectSides.of(a, sol.b))
-        second = _rect_record(RectSides.of(x, sol.y))
+        first = ShapeRecord(tuple(sorted((a, sol.b))))
+        second = ShapeRecord(tuple(sorted((x, sol.y))))
         payload["b"], payload["y"] = sol.b, sol.y
         payload["first"], payload["second"] = first.to_dict(), second.to_dict()
-        line = f"b={sol.b} y={sol.y}  (rectangles {_sides_str(first)} and {_sides_str(second)})"
+        line = f"b={sol.b} y={sol.y}  (rectangles {first.shape_id} and {second.shape_id})"
     row = [a, x, payload["status"], payload["reason"] or "", payload.get("b", ""), payload.get("y", "")]
     _emit_single(fmt, payload, ["a", "x", "status", "reason", "b", "y"], row, [line])
     return EXIT_OK if sol.solved else EXIT_NO_RESULT
@@ -261,7 +251,7 @@ def cmd_tri_equable(max_perimeter: int, fmt: str) -> int:
         print(f"error: --max-perimeter must be at least 3, got {max_perimeter}", file=sys.stderr)
         return EXIT_USAGE
     found = triangles.find_equable_triangles(max_perimeter)
-    records = [_tri_record(h, "equable-triangles") for h in found]
+    records = [ShapeRecord(h.sides.as_tuple()) for h in found]
     return _equable_report("equable-triangles", max_perimeter, records, fmt)
 
 
@@ -270,7 +260,7 @@ def cmd_equable_rect(max_side: int, fmt: str) -> int:
         print(f"error: --max-side must be positive, got {max_side}", file=sys.stderr)
         return EXIT_USAGE
     found = rectangles.equable_rectangles(max_side)
-    records = [_rect_record(r, "equable-rectangles") for r in found]
+    records = [ShapeRecord((r.short, r.long)) for r in found]
     return _equable_report("equable-rectangles", max_side, records, fmt)
 
 

@@ -2,14 +2,17 @@
 
 Shapes of any family reduce to (area, perimeter, shape_id) fingerprints;
 amicable pairs come out of a keyed join instead of a quadratic scan.
-Reports re-verify every certificate when assembled, and a report read back
-from JSON is reassembled and must serialize to exactly the input, so
+A ShapeRecord works out its area and perimeter from its sides, reports
+re-verify every pair and listed shape when assembled, and a report read
+back from JSON is reassembled and must serialize to exactly the input, so
 serialized results are never trusted blindly.
 """
 
 from __future__ import annotations
 
 from .lattice import Record
+from .rectangles import RectSides
+from .triangles import TriangleSides, as_heronian
 
 __all__ = [
     "CertificateError",
@@ -62,65 +65,61 @@ class ShapeFingerprint(Record):
 
 
 class ShapeRecord(Record):
-    """A shape with canonical sorted sides; the unit reports are built from."""
+    """A shape given by its canonical sorted sides, with the area and perimeter they give.
 
-    __slots__ = ("family", "sides", "area", "perimeter")
+    Two sides make a rectangle and three a heronian triangle.  Any other
+    sides raise CertificateError, so no record disagrees with its sides.
+    """
 
-    def __init__(self, family: str, sides: tuple[int, ...], area: int, perimeter: int):
-        self._store("family", family)
-        self._store("sides", sides)
+    __slots__ = ("sides", "area", "perimeter")
+
+    def __init__(self, sides: tuple[int, ...]):
+        try:
+            if len(sides) == 2:
+                rect = RectSides(*sides)
+                area, perimeter = rect.area(), rect.perimeter()
+            elif len(sides) == 3:
+                tri = as_heronian(TriangleSides(*sides))
+                if tri is None:
+                    raise ValueError("the triangle is not heronian")
+                area, perimeter = tri.area, tri.perimeter()
+            else:
+                raise ValueError("a shape has 2 or 3 sides")
+        except ValueError as exc:
+            raise CertificateError(f"{sides!r} is not a shape: {exc}") from None
+        self._store("sides", tuple(sides))
         self._store("area", area)
         self._store("perimeter", perimeter)
 
+    def __reduce__(self):
+        return ShapeRecord, (self.sides,)
+
     @property
     def shape_id(self) -> str:
-        return f"{self.family}:" + "x".join(str(s) for s in self.sides)
+        return "x".join(str(s) for s in self.sides)
 
     def to_dict(self) -> dict:
         return {"sides": list(self.sides), "area": self.area, "perimeter": self.perimeter}
 
 
-# Sides of one shape in each shape family.
+# Sides of every shape a family's report lists; a verification report lists both kinds.
 _SIDE_COUNTS = {"rectangles": 2, "equable-rectangles": 2, "triangles": 3, "equable-triangles": 3}
 
 
-def _verify_record(rec: ShapeRecord):
-    """Recompute area and perimeter from the sides and compare."""
-    if len(rec.sides) != _SIDE_COUNTS.get(rec.family):
-        raise CertificateError(f"side count does not match the family: {rec}")
-    if list(rec.sides) != sorted(rec.sides):
-        raise CertificateError(f"sides not sorted: {rec}")
-    if any(s < 1 for s in rec.sides) or rec.area < 1 or rec.perimeter < 1:
-        raise CertificateError(f"non-positive dimensions: {rec}")
-    if len(rec.sides) == 2:
-        a, b = rec.sides
-        if rec.area != a * b or rec.perimeter != 2 * (a + b):
-            raise CertificateError(f"rectangle invariants fail: {rec}")
-    else:
-        a, b, c = rec.sides
-        heron = (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
-        if rec.perimeter != a + b + c or 16 * rec.area * rec.area != heron:
-            raise CertificateError(f"triangle invariants fail: {rec}")
-    if rec.family.startswith("equable") and rec.area != rec.perimeter:
-        raise CertificateError(f"shape claimed equable but is not: {rec}")
+def _check_shape(rec: ShapeRecord, family: str, bound: int | None):
+    """rec may be listed in a family's report within the bound.
 
-
-def _verify_bound(rec: ShapeRecord, bound: int | None):
-    """A rectangle's long side, or a triangle's perimeter, must not exceed the bound."""
+    The family fixes the side count and, for the equable families, area =
+    perimeter; a non-null bound holds a rectangle's long side or a
+    triangle's perimeter.
+    """
+    if len(rec.sides) != _SIDE_COUNTS.get(family, len(rec.sides)):
+        raise CertificateError(f"a {family} report cannot list {rec.shape_id}")
+    if family.startswith("equable") and rec.area != rec.perimeter:
+        raise CertificateError(f"{rec.shape_id} is claimed equable but is not")
     size = rec.sides[-1] if len(rec.sides) == 2 else rec.perimeter
     if bound is not None and size > bound:
         raise CertificateError(f"{rec.shape_id} lies beyond the bound {bound}")
-
-
-def _verify_pair(first: ShapeRecord, second: ShapeRecord):
-    _verify_record(first)
-    _verify_record(second)
-    if first.shape_id == second.shape_id:
-        raise CertificateError(f"self pair: {first.shape_id}")
-    if first.area != second.perimeter or second.area != first.perimeter:
-        raise CertificateError(
-            f"cross equalities fail: {first.shape_id} vs {second.shape_id}"
-        )
 
 
 def match_amicable(
@@ -215,10 +214,11 @@ def assemble_report(
     shapes, and a shapes_scanned that disagrees is rejected; for triangles
     and verification reports the count is shapes_scanned, or len(shapes)
     when that is None.  A pair that fails its cross equalities, a repeated
-    pair or kept shape, a shape beyond a non-null bound, a bound below 1 or
-    a bound on a verification report, or checks other than
-    VERIFICATION_CHECKS on a verification report (none on any other family)
-    aborts assembly.
+    pair or kept shape, a shape with the wrong side count for the family, a
+    non-equable shape in an equable family, a shape beyond a non-null bound,
+    a bound below 1 or a bound on a verification report, or checks other
+    than VERIFICATION_CHECKS on a verification report (none on any other
+    family) aborts assembly.
     """
     if family not in FAMILIES:
         raise CertificateError(f"unknown family: {family!r}")
@@ -237,14 +237,16 @@ def assemble_report(
     if shapes_scanned is not None and shapes_scanned != scanned:
         raise CertificateError(f"a {family} report scans {scanned} shapes, not {shapes_scanned}")
     for rec in shapes:
-        _verify_record(rec)
-        _verify_bound(rec, bound)
+        _check_shape(rec, family, bound)
     normalized = []
     for a, b in pairs:
-        first, second = sorted((a, b), key=lambda r: (r.sides, r.family))
-        _verify_pair(first, second)
-        _verify_bound(first, bound)
-        _verify_bound(second, bound)
+        first, second = sorted((a, b), key=lambda r: r.sides)
+        _check_shape(first, family, bound)
+        _check_shape(second, family, bound)
+        if first.sides == second.sides:
+            raise CertificateError(f"self pair: {first.shape_id}")
+        if first.area != second.perimeter or second.area != first.perimeter:
+            raise CertificateError(f"cross equalities fail: {first.shape_id} vs {second.shape_id}")
         normalized.append((first, second))
     normalized.sort(key=lambda p: (p[0].sides, p[1].sides))
     keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if family.startswith("equable") else ()
@@ -267,16 +269,13 @@ def _exact_int(value, what: str) -> int:
     return value
 
 
-def _record_from_dict(d: dict, family: str) -> ShapeRecord:
-    """A shape listed in a report of the given family; verification lists both kinds."""
-    if family == "verification":
-        family = "rectangles" if len(d["sides"]) == 2 else "triangles"
-    return ShapeRecord(
-        family=family,
-        sides=tuple(_exact_int(s, "side") for s in d["sides"]),
-        area=_exact_int(d["area"], "area"),
-        perimeter=_exact_int(d["perimeter"], "perimeter"),
-    )
+def _record_from_dict(d: dict) -> ShapeRecord:
+    """A listed shape, built from its sides; the area and perimeter stated must be its own."""
+    rec = ShapeRecord(tuple(_exact_int(s, "side") for s in d["sides"]))
+    area, perimeter = _exact_int(d["area"], "area"), _exact_int(d["perimeter"], "perimeter")
+    if area != rec.area or perimeter != rec.perimeter:
+        raise CertificateError(f"stated area or perimeter is not that of {rec.shape_id}: {d}")
+    return rec
 
 
 def report_from_dict(d: dict) -> SearchReport:
@@ -297,9 +296,9 @@ def report_from_dict(d: dict) -> SearchReport:
         report = assemble_report(
             family,
             None if bound is None else _exact_int(bound, "bound"),
-            [_record_from_dict(entry, family) for entry in d.get("shapes", ())],
+            [_record_from_dict(entry) for entry in d.get("shapes", ())],
             [
-                (_record_from_dict(pair["first"], family), _record_from_dict(pair["second"], family))
+                (_record_from_dict(pair["first"]), _record_from_dict(pair["second"]))
                 for pair in d["pairs"]
             ],
             checks=[(entry["name"], entry["status"] == "pass") for entry in d["checks"]],

@@ -27,7 +27,6 @@ __all__ = [
     "HeronianTriangle",
     "TriangleEmbedding",
     "EmbeddingSearchError",
-    "sixteen_area_sq",
     "as_heronian",
     "enumerate_heronian",
     "match_amicable_triangles",
@@ -63,6 +62,7 @@ class TriangleSides(Record):
         return self.a + self.b + self.c
 
     def sixteen_area_sq(self) -> int:
+        """16*Area^2 as an exact integer (Heron's formula cleared of fractions)."""
         a, b, c = self.a, self.b, self.c
         return (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
 
@@ -71,11 +71,6 @@ class TriangleSides(Record):
 
     def __str__(self):
         return f"{self.a}x{self.b}x{self.c}"
-
-
-def sixteen_area_sq(t: TriangleSides) -> int:
-    """16*Area^2 as an exact integer (Heron's formula cleared of fractions)."""
-    return t.sixteen_area_sq()
 
 
 class HeronianTriangle(Record):
@@ -111,7 +106,9 @@ def enumerate_heronian(max_perimeter: int) -> list[HeronianTriangle]:
     """All heronian triangles with perimeter <= max_perimeter, sorted by (perimeter, a, b).
 
     The scan runs over plain integers and certifies a record only for hits.
-    With s = a + b and d = b - a, Heron's product is (s^2 - c^2)(c^2 - d^2).
+    With s = a + b and d = b - a, Heron's product is (s^2 - c^2)(c^2 - d^2);
+    the inner loop computes this factored form itself instead of calling
+    TriangleSides.sixteen_area_sq, because it is the scan's hot path.
     c steps by 2 with the parity of s: an odd perimeter makes every factor
     odd, so 16*Area^2 is odd and the area cannot be an integer.  At even
     perimeter every factor is even, so a square product has a root divisible

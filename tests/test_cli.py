@@ -1,4 +1,9 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -6,6 +11,10 @@ import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly.cli import main
 from amipoly.matching import report_from_dict
+
+from test_golden import GOLDEN
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 THE_FIVE = [
     ([1, 34], [7, 10]),
@@ -241,3 +250,26 @@ class TestUsageErrors:
 
     def test_bad_format(self, capsys):
         assert run_cli(capsys, "rect", "enumerate", "--format", "xml")[0] == 1
+
+
+class TestProcessPath:
+    """`python -m amipoly`: __main__, then cli.run, which exits with main's code."""
+
+    def run(self, *argv):
+        path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+        return subprocess.run(
+            [sys.executable, "-m", "amipoly", *argv],
+            env=dict(os.environ, PYTHONPATH=path),
+            capture_output=True,
+        )
+
+    def test_verify_all_json(self):
+        proc = self.run("verify", "all", "--format", "json")
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["verify all --format json"]
+
+    def test_unknown_flag_exits_one(self):
+        assert self.run("verify", "all", "--no-such-flag").returncode == 1
+
+    def test_not_heronian_exits_two(self):
+        assert self.run("tri", "embed", "2", "3", "4").returncode == 2

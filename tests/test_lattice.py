@@ -304,8 +304,8 @@ RECORD_CASES = {
         (HeronianTriangle(TriangleSides(5, 5, 8), 12), (TriangleSides(5, 5, 8), 12)),
     ],
     "ShapeRecord": lambda: [
-        (ShapeRecord("rectangles", (1, 34), 34, 70), ("rectangles", (1, 34), 34, 70)),
-        (ShapeRecord("rectangles", (7, 10), 70, 34), ("rectangles", (7, 10), 70, 34)),
+        (ShapeRecord((1, 34)), ((1, 34), 34, 70)),
+        (ShapeRecord((7, 10)), ((7, 10), 70, 34)),
     ],
 }
 

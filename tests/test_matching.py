@@ -3,6 +3,7 @@ import copy
 import functools
 import io
 import json
+import pickle
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from amipoly.matching import (
     report_from_dict,
 )
 
-from _oracles import naive_amicable_scan
+from _oracles import naive_amicable_scan, naive_heronian_triples
 
 MUTATED_COMMANDS = (
     "verify all --format json",
@@ -41,10 +42,6 @@ RECT_PAIR_SIDES = [
 
 def rect_fp(a, b):
     return ShapeFingerprint(a * b, 2 * (a + b), f"rectangles:{a}x{b}")
-
-
-def rect_record(a, b, family="rectangles"):
-    return ShapeRecord(family, (a, b), a * b, 2 * (a + b))
 
 
 def pair_ids(pairs):
@@ -113,6 +110,59 @@ class TestMatchAmicable:
         assert len(got) == 10  # all cross pairs of 5 distinct equable shapes
 
 
+# Sides that make no ShapeRecord: wrong counts, unsorted, non-positive, degenerate, not heronian.
+BAD_SIDES = [(), (5,), (1, 2, 3, 4), (13, 1), (0, 5), (5, 4, 3), (1, 2, 3), (2, 3, 4)]
+
+
+class TestShapeRecord:
+    def test_triangles_are_the_heronian_triples(self):
+        want = {(a, b, c): (area, a + b + c) for a, b, c, area in naive_heronian_triples(60)}
+        got = {}
+        for a in range(1, 61):
+            for b in range(a, 61 - a):
+                for c in range(b, min(a + b, 61 - a - b)):
+                    try:
+                        rec = ShapeRecord((a, b, c))
+                    except CertificateError:
+                        continue
+                    got[a, b, c] = (rec.area, rec.perimeter)
+        assert got == want
+
+    def test_rectangles(self):
+        for a in range(1, 31):
+            for b in range(a, 31):
+                rec = ShapeRecord((a, b))
+                assert (rec.area, rec.perimeter) == (a * b, 2 * (a + b))
+
+    @pytest.mark.parametrize("sides", BAD_SIDES)
+    def test_bad_sides_rejected(self, sides):
+        with pytest.raises(CertificateError):
+            ShapeRecord(sides)
+
+    @pytest.mark.parametrize("sides", BAD_SIDES)
+    @pytest.mark.parametrize(
+        "command, path",
+        [
+            ("verify all --format json", ("pairs", 0, "first")),
+            ("equable rect --format json", ("shapes", 0)),
+        ],
+    )
+    def test_bad_sides_rejected_on_read_back(self, sides, command, path):
+        d = canonical_report(command)
+        target = d
+        for key in path:
+            target = target[key]
+        target["sides"] = list(sides)
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_pickle_and_copy_rebuild_from_sides(self):
+        for rec in (ShapeRecord((1, 34)), ShapeRecord((3, 25, 26))):
+            assert pickle.loads(pickle.dumps(rec)) == rec
+            assert copy.copy(rec) == rec
+            assert copy.deepcopy(rec) == rec
+
+
 class TestAssembleReport:
     def test_empty_inputs(self):
         report = assemble_report("rectangles", 10, [], [])
@@ -120,14 +170,14 @@ class TestAssembleReport:
         assert report.pairs == ()
 
     def test_reverifies_pairs(self):
-        bad = (rect_record(1, 2), rect_record(3, 4))
+        bad = (ShapeRecord((1, 2)), ShapeRecord((3, 4)))
         with pytest.raises(CertificateError):
             assemble_report("rectangles", 10, [], [bad])
 
     def test_orders_and_sorts_pairs(self):
         pairs = [
-            (rect_record(7, 10), rect_record(1, 34)),
-            (rect_record(4, 6), rect_record(2, 10)),
+            (ShapeRecord((7, 10)), ShapeRecord((1, 34))),
+            (ShapeRecord((4, 6)), ShapeRecord((2, 10))),
         ]
         report = assemble_report("rectangles", 54, [], pairs)
         assert [(p[0].sides, p[1].sides) for p in report.pairs] == [
@@ -136,27 +186,27 @@ class TestAssembleReport:
         ]
 
     def test_equable_family_keeps_shapes(self):
-        shapes = [rect_record(4, 4, "equable-rectangles"), rect_record(3, 6, "equable-rectangles")]
+        shapes = [ShapeRecord((4, 4)), ShapeRecord((3, 6))]
         report = assemble_report("equable-rectangles", 10, shapes, [])
         assert [s.sides for s in report.shapes] == [(3, 6), (4, 4)]
 
     def test_pair_family_drops_shape_list(self):
-        report = assemble_report("rectangles", 10, [rect_record(2, 3)], [])
+        report = assemble_report("rectangles", 10, [ShapeRecord((2, 3))], [])
         assert report.shapes == ()
         assert report.shapes_scanned == 55  # every rectangle within the bound
 
     def test_inconsistent_shape_rejected(self):
         with pytest.raises(CertificateError):
-            assemble_report(
-                "rectangles", 10, [ShapeRecord("rectangles", (2, 3), 7, 10)], []
-            )
+            assemble_report("rectangles", 10, [ShapeRecord((3, 4, 5))], [])
+        with pytest.raises(CertificateError):
+            assemble_report("equable-rectangles", 10, [ShapeRecord((2, 3))], [])
 
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             assemble_report("hexagons", 10, [], [])
 
     def test_deterministic_serialisation(self):
-        pairs = [(rect_record(1, 34), rect_record(7, 10))]
+        pairs = [(ShapeRecord((1, 34)), ShapeRecord((7, 10)))]
         r1 = assemble_report("rectangles", 54, [], pairs)
         r2 = assemble_report("rectangles", 54, [], pairs)
         assert json.dumps(r1.to_canonical_dict(), sort_keys=True) == json.dumps(
@@ -166,7 +216,7 @@ class TestAssembleReport:
 
 class TestRoundTrip:
     def report(self):
-        pairs = [(rect_record(1, 34), rect_record(7, 10))]
+        pairs = [(ShapeRecord((1, 34)), ShapeRecord((7, 10)))]
         return assemble_report("rectangles", 54, [], pairs)
 
     def test_round_trip(self):
@@ -217,16 +267,12 @@ class TestRoundTrip:
             report_from_dict(d)
 
     def test_nonpositive_dimensions_detected(self):
-        from amipoly.matching import _verify_record
-
         with pytest.raises(CertificateError):
-            _verify_record(ShapeRecord("rectangles", (0, 5), 0, 10))
+            ShapeRecord((0, 5))
 
     def test_shape_ids_stable(self):
-        rec = rect_record(2, 13)
-        assert rec.shape_id == "rectangles:2x13"
-        tri = ShapeRecord("triangles", (9, 12, 15), 54, 36)
-        assert tri.shape_id == "triangles:9x12x15"
+        assert ShapeRecord((2, 13)).shape_id == "2x13"
+        assert ShapeRecord((9, 12, 15)).shape_id == "9x12x15"
 
     def test_every_command_report_reads_back(self):
         for command in MUTATED_COMMANDS:
@@ -251,7 +297,10 @@ class TestRoundTrip:
             report_from_dict(d)
 
     def test_reversed_pair_order_rejected(self):
-        pairs = [(rect_record(1, 34), rect_record(7, 10)), (rect_record(2, 10), rect_record(4, 6))]
+        pairs = [
+            (ShapeRecord((1, 34)), ShapeRecord((7, 10))),
+            (ShapeRecord((2, 10)), ShapeRecord((4, 6))),
+        ]
         d = assemble_report("rectangles", 54, [], pairs).to_canonical_dict()
         d["pairs"].reverse()
         with pytest.raises(CertificateError):

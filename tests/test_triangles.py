@@ -18,7 +18,6 @@ from amipoly.triangles import (
     enumerate_heronian,
     find_amicable_triangle_pairs,
     find_equable_triangles,
-    sixteen_area_sq,
     sum_two_squares_reps,
 )
 
@@ -56,13 +55,13 @@ class TestTriangleSides:
 
 class TestHeron:
     def test_right_triangle(self):
-        assert sixteen_area_sq(TriangleSides(3, 4, 5)) == 576
+        assert TriangleSides(3, 4, 5).sixteen_area_sq() == 576
 
     def test_sliver(self):
-        assert sixteen_area_sq(TriangleSides(3, 25, 26)) == 20736
+        assert TriangleSides(3, 25, 26).sixteen_area_sq() == 20736
 
     def test_unit(self):
-        assert sixteen_area_sq(TriangleSides(1, 1, 1)) == 3
+        assert TriangleSides(1, 1, 1).sixteen_area_sq() == 3
 
     def test_as_heronian_present(self):
         assert as_heronian(TriangleSides(9, 12, 15)).area == 54
