@@ -18,8 +18,6 @@ result, 3 verification mismatch.
 from __future__ import annotations
 
 import argparse
-import csv
-import io
 import json
 import sys
 
@@ -63,9 +61,9 @@ def _print_json(payload: dict):
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
-def _csv_writer():
-    buf = io.StringIO()
-    return buf, csv.writer(buf, lineterminator="\n")
+def _print_csv(rows):
+    """Print rows of ints and fixed words, none of which holds a comma, quote or newline."""
+    sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _emit_single(fmt: str, payload: dict, header: list, row: list, lines: list[str]):
@@ -73,9 +71,7 @@ def _emit_single(fmt: str, payload: dict, header: list, row: list, lines: list[s
     if fmt == "json":
         _print_json(payload)
     elif fmt == "csv":
-        buf, writer = _csv_writer()
-        writer.writerows([header, row])
-        sys.stdout.write(buf.getvalue())
+        _print_csv([header, row])
     else:
         print("\n".join(lines))
 
@@ -85,28 +81,23 @@ def _emit_report(report: SearchReport, fmt: str):
         _print_json(report.to_canonical_dict())
         return
     if fmt == "csv":
-        buf, writer = _csv_writer()
         if report.family == "verification":
-            writer.writerow(["check", "status"])
-            for name, ok in report.checks:
-                writer.writerow([name, "pass" if ok else "fail"])
+            rows = [["check", "status"]]
+            rows += [[name, "pass" if ok else "fail"] for name, ok in report.checks]
         elif report.family.startswith("equable"):
             side_cols = ["a", "b", "c"][: 3 if report.family.endswith("triangles") else 2]
-            writer.writerow(["family", *side_cols, "area", "perim"])
-            for s in report.shapes:
-                writer.writerow([report.family, *s.sides, s.area, s.perimeter])
+            rows = [["family", *side_cols, "area", "perim"]]
+            rows += [[report.family, *s.sides, s.area, s.perimeter] for s in report.shapes]
         else:
             tri = report.family == "triangles"
             first_cols = ["a", "b", "c"] if tri else ["a", "b"]
             second_cols = ["x", "y", "z"] if tri else ["x", "y"]
-            writer.writerow(
-                ["family", *first_cols, *second_cols, "area1", "perim1", "area2", "perim2"]
-            )
-            for a, b in report.pairs:
-                writer.writerow(
-                    [report.family, *a.sides, *b.sides, a.area, a.perimeter, b.area, b.perimeter]
-                )
-        sys.stdout.write(buf.getvalue())
+            rows = [["family", *first_cols, *second_cols, "area1", "perim1", "area2", "perim2"]]
+            rows += [
+                [report.family, *a.sides, *b.sides, a.area, a.perimeter, b.area, b.perimeter]
+                for a, b in report.pairs
+            ]
+        _print_csv(rows)
         return
 
     # human table

@@ -67,14 +67,17 @@ class ShapeFingerprint(Record):
 class ShapeRecord(Record):
     """A shape given by its canonical sorted sides, with the area and perimeter they give.
 
-    Two sides make a rectangle and three a heronian triangle.  Any other
-    sides raise CertificateError, so no record disagrees with its sides.
+    Two sides make a rectangle and three a heronian triangle; every side
+    must be an int, so 34.0, True and "34" are not sides.  Any other sides
+    raise CertificateError, so no record disagrees with its sides.
     """
 
     __slots__ = ("sides", "area", "perimeter")
 
     def __init__(self, sides: tuple[int, ...]):
         try:
+            if any(type(s) is not int for s in sides):
+                raise ValueError("every side must be an int")
             if len(sides) == 2:
                 rect = RectSides(*sides)
                 area, perimeter = rect.area(), rect.perimeter()
@@ -271,7 +274,7 @@ def _exact_int(value, what: str) -> int:
 
 def _record_from_dict(d: dict) -> ShapeRecord:
     """A listed shape, built from its sides; the area and perimeter stated must be its own."""
-    rec = ShapeRecord(tuple(_exact_int(s, "side") for s in d["sides"]))
+    rec = ShapeRecord(tuple(d["sides"]))
     area, perimeter = _exact_int(d["area"], "area"), _exact_int(d["perimeter"], "perimeter")
     if area != rec.area or perimeter != rec.perimeter:
         raise CertificateError(f"stated area or perimeter is not that of {rec.shape_id}: {d}")

@@ -12,15 +12,7 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .lattice import (
-    LATTICE_SYMMETRIES,
-    LatticePoint,
-    LatticePolygon,
-    Record,
-    is_perfect_square,
-    transform_point,
-    twice_area,
-)
+from .lattice import LatticePoint, LatticePolygon, Record, is_perfect_square, twice_area
 
 __all__ = [
     "TriangleSides",
@@ -246,32 +238,6 @@ class EmbeddingSearchError(RuntimeError):
     """The embedding search ran out of candidates; impossible for certified input."""
 
 
-def _signed_reps(n: int) -> list[LatticePoint]:
-    pts = set()
-    for r in sum_two_squares_reps(n):
-        for sx in (1, -1):
-            for sy in (1, -1):
-                pts.add(LatticePoint(sx * r.x, sy * r.y))
-    return sorted(pts)
-
-
-def _canonical_placement(
-    candidates: list[tuple[LatticePoint, LatticePoint]],
-) -> tuple[LatticePoint, LatticePoint]:
-    """Lexicographically minimal (v1, v2) over the 8 lattice symmetries and both
-    vertex orders, with v0 pinned at the origin."""
-    best = None
-    for p, q in candidates:
-        for sym in LATTICE_SYMMETRIES:
-            tp, tq = transform_point(sym, p), transform_point(sym, q)
-            for v1, v2 in ((tp, tq), (tq, tp)):
-                key = (v1.x, v1.y, v2.x, v2.y)
-                if best is None or key < best:
-                    best = key
-    assert best is not None
-    return LatticePoint(best[0], best[1]), LatticePoint(best[2], best[3])
-
-
 class TriangleEmbedding(Record):
     """A lattice placement of a heronian triangle, certificate-checked on construction."""
 
@@ -309,30 +275,37 @@ class TriangleEmbedding(Record):
 
 
 def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
-    """Place t on the lattice with one vertex at the origin.
+    """Place t on the lattice with v0 at the origin and (v1, v2) least in both vertex orders.
 
-    The origin vertex carries the two longest sides.  v1 = p ranges over the
-    lattice points with |p| = c, built from the factorisation of c.  For each
-    p the only points q with |q| = b and |p - q| = a are
-    q = (D*p +- T*p_perp) / c^2, where D = (b^2 + c^2 - a^2)/2 = p.q,
-    T = 2*area = |p x q| and p_perp = (-p.y, p.x); a candidate (p, q) is kept
-    when both coordinates of q divide exactly.  D is an integer because a
-    heronian perimeter is even.  The returned placement is the canonical
-    representative of the candidates under the lattice symmetries.
+    The origin vertex carries the two longest sides.  The candidates are
+    every (p, q) with |p| = c, |q| = b and |p - q| = a.  p ranges over the
+    lattice points with |p| = c, built from the factorisation of c, and for
+    each p the only such q are q = (D*p +- T*p_perp) / c^2, where
+    D = (b^2 + c^2 - a^2)/2 = p.q, T = 2*area = |p x q| and
+    p_perp = (-p.y, p.x); a candidate is kept when both coordinates of q
+    divide exactly.  D is an integer because a heronian perimeter is even.
+    The placement returned has the least key (v1.x, v1.y, v2.x, v2.y) over
+    the candidates (p, q) and their swaps (q, p).  Each of the 8 lattice
+    symmetries is an integer orthogonal map, so it keeps the three lengths
+    and integral coordinates and maps the candidates onto themselves: the
+    least candidate is already least over the mirror images of every
+    candidate, so no orbit needs to be taken.
     Heronian triangles always embed; an exhausted search indicates internal
     inconsistency and raises EmbeddingSearchError.
     """
     s = t.sides
     c_sq = s.c * s.c
     dot = (s.b * s.b + c_sq - s.a * s.a) // 2
-    candidates = []
-    for p in _signed_reps(c_sq):
-        for cross in (2 * t.area, -2 * t.area):
-            qx, rx = divmod(dot * p.x - cross * p.y, c_sq)
-            qy, ry = divmod(dot * p.y + cross * p.x, c_sq)
-            if rx == 0 and ry == 0:
-                candidates.append((p, LatticePoint(qx, qy)))
-    if not candidates:
+    best = None
+    for r in sum_two_squares_reps(c_sq):
+        for px, py in ((r.x, r.y), (-r.x, r.y), (r.x, -r.y), (-r.x, -r.y)):
+            for cross in (2 * t.area, -2 * t.area):
+                qx, rx = divmod(dot * px - cross * py, c_sq)
+                qy, ry = divmod(dot * py + cross * px, c_sq)
+                if rx == 0 and ry == 0:
+                    key = min((px, py, qx, qy), (qx, qy, px, py))
+                    if best is None or key < best:
+                        best = key
+    if best is None:
         raise EmbeddingSearchError(f"no lattice placement found for {s}")
-    v1, v2 = _canonical_placement(candidates)
-    return TriangleEmbedding(t, _ORIGIN, v1, v2)
+    return TriangleEmbedding(t, _ORIGIN, LatticePoint(*best[:2]), LatticePoint(*best[2:]))

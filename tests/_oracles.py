@@ -146,6 +146,30 @@ def naive_embedding_candidates(a, b, c):
     ]
 
 
+# The 8 symmetries of the integer lattice, written out: (+-x, +-y) and (+-y, +-x).
+LATTICE_MAPS = (
+    lambda x, y: (x, y),
+    lambda x, y: (-x, y),
+    lambda x, y: (x, -y),
+    lambda x, y: (-x, -y),
+    lambda x, y: (y, x),
+    lambda x, y: (-y, x),
+    lambda x, y: (y, -x),
+    lambda x, y: (-y, -x),
+)
+
+
+def naive_canonical_placement(candidates):
+    """The least ((x1, y1), (x2, y2)) over every image of every candidate
+    ((px, py), (qx, qy)) under LATTICE_MAPS, in both vertex orders."""
+    return min(
+        pair
+        for p, q in candidates
+        for f in LATTICE_MAPS
+        for pair in ((f(*p), f(*q)), (f(*q), f(*p)))
+    )
+
+
 def naive_small_side_candidates(max_side):
     """Sorted short sides a of every rectangle a <= b <= max_side with area <= perimeter
     that has a partner x <= y, distinct from it, with x*y = 2(a + b) and

@@ -314,7 +314,7 @@ class TestRecords:
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
         probe = (
             "import sys; before = set(sys.modules); import amipoly.cli; "
-            "print(sorted({'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
+            "print(sorted({'csv', 'dataclasses', 'inspect'} & (set(sys.modules) - before)))"
         )
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         env = dict(os.environ, PYTHONPATH=path)

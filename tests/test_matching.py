@@ -111,7 +111,10 @@ class TestMatchAmicable:
 
 
 # Sides that make no ShapeRecord: wrong counts, unsorted, non-positive, degenerate, not heronian.
-BAD_SIDES = [(), (5,), (1, 2, 3, 4), (13, 1), (0, 5), (5, 4, 3), (1, 2, 3), (2, 3, 4)]
+BAD_SIDES = [
+    (), (5,), (1, 2, 3, 4), (13, 1), (0, 5), (5, 4, 3), (1, 2, 3), (2, 3, 4),
+    (1.5, 2), (True, 5), (3.0, 4.0, 5.0), ("3", "4"),
+]
 
 
 class TestShapeRecord:

@@ -1,18 +1,13 @@
+import ast
 import itertools
+from pathlib import Path
 
 import pytest
 
-from amipoly.lattice import (
-    LATTICE_SYMMETRIES,
-    LatticePoint,
-    integer_side_lengths,
-    transform_point,
-)
+from amipoly.lattice import LatticePoint, integer_side_lengths
 from amipoly.triangles import (
     HeronianTriangle,
     TriangleSides,
-    _canonical_placement,
-    _signed_reps,
     as_heronian,
     embed_triangle,
     enumerate_heronian,
@@ -21,17 +16,26 @@ from amipoly.triangles import (
     sum_two_squares_reps,
 )
 
+import _oracles
 from _oracles import (
+    LATTICE_MAPS,
+    naive_canonical_placement,
     naive_embedding_candidates,
     naive_heronian_triples,
     naive_two_squares,
-    signed_square_sums,
 )
 
 # golden values produced by the definitional brute-force scan, in
 # enumeration order (perimeter, then sides)
 EQUABLE_TRIPLES = [(6, 8, 10), (5, 12, 13), (9, 10, 17), (7, 15, 20), (6, 25, 29)]
 THE_PAIR = ((3, 25, 26), (9, 12, 15))
+# every heronian triangle up to perimeter 60, and large multiples of four
+# primitive ones, so that c^2 has many sum-of-two-squares representations
+EMBEDDING_CASES = sorted((a, b, c) for a, b, c, _ in naive_heronian_triples(60)) + [
+    tuple(k * s for s in base)
+    for base in ((13, 14, 15), (9, 10, 17), (5, 12, 13), (3, 4, 5))
+    for k in (5 * 13 * 17, 2 * 3 * 7)
+]
 
 
 class TestTriangleSides:
@@ -189,7 +193,8 @@ class TestSumTwoSquares:
 
     def test_signed_squares_equal_sign_completed_scan(self):
         for m in range(1, 2501):
-            assert [(p.x, p.y) for p in _signed_reps(m * m)] == signed_square_sums(m * m), m
+            got = [(p.x, p.y) for p in sum_two_squares_reps(m * m)]
+            assert got == naive_two_squares(m * m), m
 
 
 class TestEmbedding:
@@ -224,22 +229,17 @@ class TestEmbedding:
             assert sides is not None
             assert sorted(sides) == list(h.sides.as_tuple())
 
-    @pytest.mark.parametrize(
-        "sides",
-        sorted((a, b, c) for a, b, c, _ in naive_heronian_triples(60))
-        + [
-            tuple(k * s for s in base)
-            for base in ((13, 14, 15), (9, 10, 17), (5, 12, 13), (3, 4, 5))
-            for k in (5 * 13 * 17, 2 * 3 * 7)
-        ],
-        ids=str,
-    )
+    @pytest.mark.parametrize("sides", EMBEDDING_CASES, ids=str)
     def test_equals_canonical_pairwise_scan(self, sides):
         emb = embed_triangle(as_heronian(TriangleSides(*sides)))
-        candidates = [
-            (LatticePoint(*p), LatticePoint(*q)) for p, q in naive_embedding_candidates(*sides)
-        ]
-        assert (emb.v1, emb.v2) == _canonical_placement(candidates)
+        want = naive_canonical_placement(naive_embedding_candidates(*sides))
+        assert ((emb.v1.x, emb.v1.y), (emb.v2.x, emb.v2.y)) == want
+
+    @pytest.mark.parametrize("sides", EMBEDDING_CASES, ids=str)
+    def test_lattice_symmetries_map_candidates_onto_themselves(self, sides):
+        candidates = set(naive_embedding_candidates(*sides))
+        for f in LATTICE_MAPS:
+            assert {(f(*p), f(*q)) for p, q in candidates} == candidates
 
     def test_deterministic(self):
         h = as_heronian(TriangleSides(9, 12, 15))
@@ -248,9 +248,9 @@ class TestEmbedding:
     def test_mirrored_candidates_canonicalise_identically(self):
         h = as_heronian(TriangleSides(3, 25, 26))
         emb = embed_triangle(h)
-        for sym in LATTICE_SYMMETRIES:
-            mirrored = [(transform_point(sym, emb.v1), transform_point(sym, emb.v2))]
-            assert _canonical_placement(mirrored) == (emb.v1, emb.v2)
+        v1, v2 = (emb.v1.x, emb.v1.y), (emb.v2.x, emb.v2.y)
+        for f in LATTICE_MAPS:
+            assert naive_canonical_placement([(f(*v1), f(*v2))]) == (v1, v2)
 
     def test_embedding_certificate_rejects_mismatch(self):
         h = as_heronian(TriangleSides(3, 4, 5))
@@ -260,3 +260,15 @@ class TestEmbedding:
             TriangleEmbedding(
                 h, LatticePoint(0, 0), LatticePoint(5, 0), LatticePoint(0, 5)
             )
+
+
+def test_oracles_import_nothing_from_amipoly():
+    # an oracle that shared code with the library would check it against itself
+    modules = []
+    for node in ast.walk(ast.parse(Path(_oracles.__file__).read_text())):
+        if isinstance(node, ast.Import):
+            modules += [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            modules.append(node.module or "")
+    assert "math" in modules
+    assert [m for m in modules if m.split(".")[0] == "amipoly"] == []
