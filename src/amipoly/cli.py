@@ -1,14 +1,19 @@
-"""Command line front end.
+"""amipoly: amicable and equable polygons on the integer lattice.
 
 Usage:
-    amipoly rect enumerate [--format json]
-    amipoly rect solve -a 1 -x 7
-    amipoly rect oracle [--max-side 200]
-    amipoly tri search [--max-perimeter 120]
-    amipoly tri embed 3 25 26
-    amipoly tri equable [--max-perimeter 120]
-    amipoly equable rect [--max-side 200]
-    amipoly verify all [--format table]
+    amipoly rect enumerate [--format F]
+    amipoly rect solve -a A -x X [--format F]
+    amipoly rect oracle [--max-side N] [--format F]
+    amipoly tri search [--max-perimeter N] [--format F]
+    amipoly tri embed A B C [--format F]
+    amipoly tri equable [--max-perimeter N] [--format F]
+    amipoly equable rect [--max-side N] [--format F]
+    amipoly verify all [--format F]
+
+F is table (the default), json or csv.  --max-side defaults to 200 and
+--max-perimeter to 120.  A flag's value is the next word or follows "="
+(--format=json); flags and the ints A B C may come in any order, and a
+repeated flag takes its last value.  -h or --help prints this text.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 usage or input error, 2 well-formed input with a negative mathematical
@@ -17,7 +22,6 @@ result, 3 verification mismatch.
 
 from __future__ import annotations
 
-import argparse
 import json
 import sys
 
@@ -352,82 +356,77 @@ def cmd_verify_all(fmt: str) -> int:
 
 # --- argument parsing --------------------------------------------------------
 
+# (group, command) -> (handler, flags, number of positional ints); a flag maps to
+# its default, or to None when it is required.  Every command also takes --format.
+# The handler gets the ints, then the flag values in table order, then the format.
+COMMANDS = {
+    ("rect", "enumerate"): (cmd_rect_enumerate, {}, 0),
+    ("rect", "solve"): (cmd_rect_solve, {"-a": None, "-x": None}, 0),
+    ("rect", "oracle"): (cmd_rect_oracle, {"--max-side": RECT_MAX_SIDE}, 0),
+    ("tri", "search"): (cmd_tri_search, {"--max-perimeter": TRI_MAX_PERIMETER}, 0),
+    ("tri", "embed"): (cmd_tri_embed, {}, 3),
+    ("tri", "equable"): (cmd_tri_equable, {"--max-perimeter": TRI_MAX_PERIMETER}, 0),
+    ("equable", "rect"): (cmd_equable_rect, {"--max-side": RECT_MAX_SIDE}, 0),
+    ("verify", "all"): (cmd_verify_all, {}, 0),
+}
+USAGE = [line.strip() for line in __doc__.splitlines() if line.startswith("    amipoly ")]
 
-class _Parser(argparse.ArgumentParser):
-    """argparse exits with status 2 on bad flags; the contract here is 1."""
 
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        raise SystemExit(EXIT_USAGE)
+def _is_flag(token: str) -> bool:
+    """True for "-a" or "--format=json"; false for a value, negative ints included."""
+    return token.startswith("-") and not token[1:2].isdigit()
 
 
-def _add_format(parser):
-    parser.add_argument("--format", choices=FORMATS, default="table")
+def _int(name: str, token: str) -> int:
+    try:
+        return int(token)
+    except ValueError:
+        raise ValueError(f"{name}: invalid int value: {token!r}") from None
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="amipoly", description=__doc__.splitlines()[0])
-    groups = parser.add_subparsers(dest="group", required=True, parser_class=_Parser)
-
-    rect = groups.add_parser("rect", help="amicable rectangle commands")
-    rect_cmds = rect.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    p = rect_cmds.add_parser("enumerate", help="the complete list of amicable pairs")
-    _add_format(p)
-    p = rect_cmds.add_parser("solve", help="partner sides for given short sides a and x")
-    p.add_argument("-a", type=int, required=True)
-    p.add_argument("-x", type=int, required=True)
-    _add_format(p)
-    p = rect_cmds.add_parser("oracle", help="exhaustive scan up to a side bound")
-    p.add_argument("--max-side", type=int, default=RECT_MAX_SIDE)
-    _add_format(p)
-
-    tri = groups.add_parser("tri", help="amicable triangle commands")
-    tri_cmds = tri.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    p = tri_cmds.add_parser("search", help="amicable pairs up to a perimeter bound")
-    p.add_argument("--max-perimeter", type=int, default=TRI_MAX_PERIMETER)
-    _add_format(p)
-    p = tri_cmds.add_parser("embed", help="lattice placement of a heronian triangle")
-    p.add_argument("sides", type=int, nargs=3, metavar=("A", "B", "C"))
-    _add_format(p)
-    p = tri_cmds.add_parser("equable", help="triangles with area equal to perimeter")
-    p.add_argument("--max-perimeter", type=int, default=TRI_MAX_PERIMETER)
-    _add_format(p)
-
-    equable = groups.add_parser("equable", help="equable shape listings")
-    eq_cmds = equable.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    p = eq_cmds.add_parser("rect", help="rectangles with area equal to perimeter")
-    p.add_argument("--max-side", type=int, default=RECT_MAX_SIDE)
-    _add_format(p)
-
-    verify = groups.add_parser("verify", help="consolidated verification")
-    verify_cmds = verify.add_subparsers(dest="command", required=True, parser_class=_Parser)
-    p = verify_cmds.add_parser("all", help="run every check and report pass/fail")
-    _add_format(p)
-
-    return parser
+def _parse(argv: list[str]):
+    """The handler argv names and its arguments; raises ValueError on a usage error."""
+    if tuple(argv[:2]) not in COMMANDS:
+        raise ValueError(f"unknown command: {' '.join(argv[:2]) or '(none)'}")
+    handler, flags, n_ints = COMMANDS[tuple(argv[:2])]
+    values = {**flags, "--format": "table"}
+    ints, tokens = [], iter(argv[2:])
+    for token in tokens:
+        name, eq, value = token.partition("=")
+        if not _is_flag(token):
+            ints.append(token)
+            continue
+        if name not in values:
+            raise ValueError(f"unrecognized argument: {token}")
+        value = value if eq else next(tokens, None)
+        if value is None or (not eq and _is_flag(value)):
+            raise ValueError(f"{name}: expected one value")
+        if name != "--format":
+            value = _int(name, value)
+        elif value not in FORMATS:
+            raise ValueError(f"--format: invalid choice {value!r}, choose from {', '.join(FORMATS)}")
+        values[name] = value
+    if len(ints) != n_ints:
+        raise ValueError(f"'{argv[0]} {argv[1]}' takes {n_ints} int arguments, got {len(ints)}")
+    missing = [name for name, value in values.items() if value is None]
+    if missing:
+        raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    return handler, [*(_int("A B C", token) for token in ints), *values.values()]
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
+    if "-h" in argv or "--help" in argv:
+        sys.stdout.write(__doc__)
+        return EXIT_OK
     try:
-        args = build_parser().parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    fmt = getattr(args, "format", "table")
-    if args.group == "rect":
-        if args.command == "enumerate":
-            return cmd_rect_enumerate(fmt)
-        if args.command == "solve":
-            return cmd_rect_solve(args.a, args.x, fmt)
-        return cmd_rect_oracle(args.max_side, fmt)
-    if args.group == "tri":
-        if args.command == "search":
-            return cmd_tri_search(args.max_perimeter, fmt)
-        if args.command == "embed":
-            return cmd_tri_embed(*args.sides, fmt)
-        return cmd_tri_equable(args.max_perimeter, fmt)
-    if args.group == "equable":
-        return cmd_equable_rect(args.max_side, fmt)
-    return cmd_verify_all(fmt)
+        handler, args = _parse(argv)
+    except ValueError as exc:
+        prefix = " ".join(["amipoly", *argv[:2], ""])
+        usage = [line for line in USAGE if line.startswith(prefix)] or USAGE
+        print("usage: " + "\n       ".join(usage) + f"\nerror: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    return handler(*args)
 
 
 def run():

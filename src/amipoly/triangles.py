@@ -155,8 +155,26 @@ def find_amicable_triangle_pairs(
 
 
 def find_equable_triangles(max_perimeter: int) -> list[HeronianTriangle]:
-    """Heronian triangles whose area equals their perimeter, sorted."""
-    return [h for h in enumerate_heronian(max_perimeter) if h.area == h.perimeter()]
+    """Triangles whose area equals their perimeter, up to max_perimeter, sorted like
+    enumerate_heronian.
+
+    With semiperimeter s and x = s - c <= y = s - b <= z = s - a, Heron gives
+    Area^2 = sxyz, so Area = 2s is xyz = 4(x + y + z) = 4s, and s is an
+    integer because a heronian perimeter is even.  Then z(xy - 4) = 4(x + y),
+    and xyz <= 12z from z >= y >= x, so xy runs over 5..12 and
+    z = 4(x + y) / (xy - 4) must be an integer >= y.  The sides are x + y,
+    x + z and y + z.
+    """
+    if max_perimeter < 3:
+        raise ValueError(f"max_perimeter must be at least 3, got {max_perimeter}")
+    found = []
+    for x in range(1, 4):  # x * x <= xy <= 12
+        for y in range(max(x, (x + 4) // x), 12 // x + 1):  # 5 <= xy <= 12
+            z, rem = divmod(4 * (x + y), x * y - 4)
+            if rem == 0 and z >= y and 2 * (x + y + z) <= max_perimeter:
+                found.append(HeronianTriangle(TriangleSides(x + y, x + z, y + z), 2 * (x + y + z)))
+    found.sort(key=lambda h: (h.perimeter(), h.sides.a, h.sides.b))
+    return found
 
 
 def _factor(m: int) -> list[tuple[int, int]]:

@@ -241,15 +241,49 @@ class TestSingleEnumeration:
         assert bounds == [150]
 
 
+# (argv, exit code, the stream that gets output, text that stream holds).  The
+# other stream stays empty.  A usage error prints the usage of what was named
+# and then an "error:" line.
+GRAMMAR_CASES = [
+    (["rect", "enumerate", "--format=json"], 0, "out", '"family": "rectangles"'),
+    (["tri", "embed", "--format", "json", "3", "25", "26"], 0, "out", '"twice_area": 72'),
+    (["tri", "embed", "3", "25", "26", "--format", "json"], 0, "out", '"twice_area": 72'),
+    (["rect", "enumerate", "--format", "json", "--format", "csv"], 0, "out", "family,a,b,x,y"),
+    (["rect", "solve", "-x", "7", "-a", "1"], 0, "out", "b=34 y=10"),
+    (["rect", "oracle", "--max-side", "-5"], 1, "err", "error: --max-side must be positive, got -5"),
+    (["-h"], 0, "out", "amipoly tri embed A B C"),
+    (["rect", "--help"], 0, "out", "amipoly verify all"),
+    (["pentagons"], 1, "err", "usage: amipoly rect enumerate"),
+    (["rect", "nope"], 1, "err", "error: unknown command: rect nope"),
+    (["rect", "enumerate", "--nope"], 1, "err", "usage: amipoly rect enumerate"),
+    (["rect", "solve", "-a", "1"], 1, "err", "usage: amipoly rect solve -a A -x X"),
+    (["rect", "solve", "-a"], 1, "err", "usage: amipoly rect solve -a A -x X"),
+    (["rect", "solve", "-a", "-x", "5"], 1, "err", "usage: amipoly rect solve -a A -x X"),
+    (["rect", "oracle", "--max-side", "ten"], 1, "err", "usage: amipoly rect oracle"),
+    (["rect", "enumerate", "--format", "xml"], 1, "err", "usage: amipoly rect enumerate"),
+    (["rect", "enumerate", "extra"], 1, "err", "usage: amipoly rect enumerate"),
+    (["tri", "embed", "3", "4"], 1, "err", "usage: amipoly tri embed A B C"),
+    (["tri", "embed"], 1, "err", "usage: amipoly tri embed A B C"),
+    (["tri", "embed", "3", "4", "5", "6"], 1, "err", "usage: amipoly tri embed A B C"),
+    (["rect", "solve", "-a", "-3", "-x", "5"], 1, "err", "positive"),
+    # Accepted by argparse, not by the command table: abbreviated long flags
+    # and short flags with their value attached.
+    (["rect", "oracle", "--max-s", "10"], 1, "err", "error: unrecognized argument: --max-s"),
+    (["rect", "solve", "-a1", "-x7"], 1, "err", "error: unrecognized argument: -a1"),
+]
+
+
 class TestUsageErrors:
-    def test_unknown_group(self, capsys):
-        assert run_cli(capsys, "pentagons")[0] == 1
-
-    def test_missing_required_flag(self, capsys):
-        assert run_cli(capsys, "rect", "solve", "-a", "1")[0] == 1
-
-    def test_bad_format(self, capsys):
-        assert run_cli(capsys, "rect", "enumerate", "--format", "xml")[0] == 1
+    @pytest.mark.parametrize(
+        "argv, code, stream, text", GRAMMAR_CASES, ids=[" ".join(c[0]) for c in GRAMMAR_CASES]
+    )
+    def test_argv_grammar(self, capsys, argv, code, stream, text):
+        got, out, err = run_cli(capsys, *argv)
+        assert got == code
+        assert text in (out if stream == "out" else err)
+        assert (err if stream == "out" else out) == ""
+        if code == 1:
+            assert err.splitlines()[-1].startswith("error: ")
 
 
 class TestProcessPath:
@@ -273,3 +307,10 @@ class TestProcessPath:
 
     def test_not_heronian_exits_two(self):
         assert self.run("tri", "embed", "2", "3", "4").returncode == 2
+
+    @pytest.mark.parametrize("sides", [["3", "4"], []], ids=["two ints", "no ints"])
+    def test_missing_sides_get_a_usage_error(self, sides):
+        proc = self.run("tri", "embed", *sides)
+        assert proc.returncode == 1
+        assert b"Traceback" not in proc.stderr
+        assert proc.stderr.startswith(b"usage: amipoly tri embed A B C")

@@ -21,6 +21,7 @@ from _oracles import (
     LATTICE_MAPS,
     naive_canonical_placement,
     naive_embedding_candidates,
+    naive_equable_triangles,
     naive_heronian_triples,
     naive_two_squares,
 )
@@ -161,6 +162,17 @@ class TestEquableTriangles:
     def test_none_below_isoperimetric_floor(self):
         # area <= perimeter^2 / (12*sqrt(3)) forces perimeter > 20 when equal
         assert find_equable_triangles(20) == []
+
+    def test_closed_form_equals_scan(self):
+        # The scan at 300 holds the scan at every smaller bound: its triangles
+        # of perimeter <= p.
+        scanned = naive_equable_triangles(300)
+        for p in range(3, 301):
+            got = [h.sides.as_tuple() for h in find_equable_triangles(p)]
+            assert got == [t for t in scanned if sum(t) <= p], p
+        assert len(find_equable_triangles(10**12)) == 5
+        with pytest.raises(ValueError):
+            find_equable_triangles(2)
 
 
 class TestSumTwoSquares:
