@@ -392,10 +392,10 @@ def _parse(argv: list[str]):
     values = {**flags, "--format": "table"}
     ints, tokens = [], iter(argv[2:])
     for token in tokens:
-        name, eq, value = token.partition("=")
         if not _is_flag(token):
             ints.append(token)
             continue
+        name, eq, value = token.partition("=")
         if name not in values:
             raise ValueError(f"unrecognized argument: {token}")
         value = value if eq else next(tokens, None)
@@ -404,7 +404,7 @@ def _parse(argv: list[str]):
         if name != "--format":
             value = _int(name, value)
         elif value not in FORMATS:
-            raise ValueError(f"--format: invalid choice {value!r}, choose from {', '.join(FORMATS)}")
+            raise ValueError(f"--format must be one of {', '.join(FORMATS)}, got {value!r}")
         values[name] = value
     if len(ints) != n_ints:
         raise ValueError(f"'{argv[0]} {argv[1]}' takes {n_ints} int arguments, got {len(ints)}")

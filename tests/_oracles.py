@@ -88,7 +88,6 @@ def naive_heronian_triples(max_perimeter):
     return found
 
 
-
 def naive_equable_triangles(max_perimeter):
     """(a, b, c) of every triangle in naive_heronian_triples(max_perimeter) whose
     area equals its perimeter, sorted by (perimeter, a, b)."""
@@ -96,6 +95,7 @@ def naive_equable_triangles(max_perimeter):
         ((a, b, c) for a, b, c, area in naive_heronian_triples(max_perimeter) if area == a + b + c),
         key=lambda t: (sum(t), t),
     )
+
 
 def naive_rect_pairs(max_side):
     """Sorted ((a, b), (x, y)) pairs of distinct rectangles with sides <= max_side
