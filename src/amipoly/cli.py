@@ -22,11 +22,10 @@ result, 3 verification mismatch.
 
 from __future__ import annotations
 
-import json
 import sys
 
 from . import matching, rectangles, triangles
-from .matching import SearchReport, ShapeRecord, assemble_report, rect_count
+from .matching import FAMILIES, SearchReport, ShapeRecord, assemble_report, rect_count
 from .triangles import TriangleSides
 
 __all__ = ["RECT_MAX_SIDE", "TRI_MAX_PERIMETER", "main", "run"]
@@ -62,6 +61,8 @@ def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
 
 
 def _print_json(payload: dict):
+    import json  # only JSON output pays for the import
+
     sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
@@ -84,19 +85,16 @@ def _emit_report(report: SearchReport, fmt: str):
     if fmt == "json":
         _print_json(report.to_canonical_dict())
         return
+    n_sides, equable = FAMILIES[report.family]
     if fmt == "csv":
-        if report.family == "verification":
+        if n_sides is None:
             rows = [["check", "status"]]
             rows += [[name, "pass" if ok else "fail"] for name, ok in report.checks]
-        elif report.family.startswith("equable"):
-            side_cols = ["a", "b", "c"][: 3 if report.family.endswith("triangles") else 2]
-            rows = [["family", *side_cols, "area", "perim"]]
+        elif equable:
+            rows = [["family", *"abc"[:n_sides], "area", "perim"]]
             rows += [[report.family, *s.sides, s.area, s.perimeter] for s in report.shapes]
         else:
-            tri = report.family == "triangles"
-            first_cols = ["a", "b", "c"] if tri else ["a", "b"]
-            second_cols = ["x", "y", "z"] if tri else ["x", "y"]
-            rows = [["family", *first_cols, *second_cols, "area1", "perim1", "area2", "perim2"]]
+            rows = [["family", *"abc"[:n_sides], *"xyz"[:n_sides], "area1", "perim1", "area2", "perim2"]]
             rows += [
                 [report.family, *a.sides, *b.sides, a.area, a.perimeter, b.area, b.perimeter]
                 for a, b in report.pairs
@@ -108,13 +106,13 @@ def _emit_report(report: SearchReport, fmt: str):
     print(f"family: {report.family}")
     print("bound: exact" if report.bound is None else f"bound: {report.bound}")
     print(f"shapes scanned: {report.shapes_scanned}")
-    if report.family.startswith("equable"):
+    if equable:
         print(f"shapes: {len(report.shapes)}")
         if report.shapes:
             print(f"{'sides':<12}{'area':>8}{'perimeter':>12}")
             for s in report.shapes:
                 print(f"{s.shape_id:<12}{s.area:>8}{s.perimeter:>12}")
-    if report.pairs or not report.family.startswith("equable"):
+    if report.pairs or not equable:
         print(f"pairs: {len(report.pairs)}")
         if report.pairs:
             print(f"{'first':<12}{'second':<12}{'area1':>6}{'perim1':>8}{'area2':>7}{'perim2':>8}")
@@ -143,9 +141,6 @@ def cmd_rect_enumerate(fmt: str) -> int:
 
 
 def cmd_rect_oracle(max_side: int, fmt: str) -> int:
-    if max_side < 1:
-        print(f"error: --max-side must be positive, got {max_side}", file=sys.stderr)
-        return EXIT_USAGE
     pairs = rectangles.brute_force_pairs(max_side)
     report = assemble_report("rectangles", max_side, [], _rect_pair_records(pairs))
     _emit_report(report, fmt)
@@ -153,9 +148,6 @@ def cmd_rect_oracle(max_side: int, fmt: str) -> int:
 
 
 def cmd_rect_solve(a: int, x: int, fmt: str) -> int:
-    if a < 1 or x < 1:
-        print(f"error: -a and -x must be positive integers, got a={a}, x={x}", file=sys.stderr)
-        return EXIT_USAGE
     sol = rectangles.solve_partner(a, x)
     payload = {
         "a": a,
@@ -178,9 +170,6 @@ def cmd_rect_solve(a: int, x: int, fmt: str) -> int:
 
 
 def cmd_tri_search(max_perimeter: int, fmt: str) -> int:
-    if max_perimeter < 3:
-        print(f"error: --max-perimeter must be at least 3, got {max_perimeter}", file=sys.stderr)
-        return EXIT_USAGE
     found = triangles.enumerate_heronian(max_perimeter)
     pairs = triangles.match_amicable_triangles(found)
     report = assemble_report(
@@ -242,18 +231,12 @@ def _equable_report(family: str, bound: int, records: list[ShapeRecord], fmt: st
 
 
 def cmd_tri_equable(max_perimeter: int, fmt: str) -> int:
-    if max_perimeter < 3:
-        print(f"error: --max-perimeter must be at least 3, got {max_perimeter}", file=sys.stderr)
-        return EXIT_USAGE
     found = triangles.find_equable_triangles(max_perimeter)
     records = [ShapeRecord(h.sides.as_tuple()) for h in found]
     return _equable_report("equable-triangles", max_perimeter, records, fmt)
 
 
 def cmd_equable_rect(max_side: int, fmt: str) -> int:
-    if max_side < 1:
-        print(f"error: --max-side must be positive, got {max_side}", file=sys.stderr)
-        return EXIT_USAGE
     found = rectangles.equable_rectangles(max_side)
     records = [ShapeRecord((r.short, r.long)) for r in found]
     return _equable_report("equable-rectangles", max_side, records, fmt)
@@ -278,15 +261,15 @@ def _verification_checks():
     rect_pairs = rectangles.enumerate_by_divisors()
     oracle_pairs = rectangles.brute_force_pairs(RECT_MAX_SIDE)
     checks.append(("rect-divisor-enumeration-matches-oracle", rect_pairs == oracle_pairs))
-    as_tuples = [
-        ((p.first.short, p.first.long), (p.second.short, p.second.long)) for p in rect_pairs
-    ]
-    checks.append(("rect-pairs-are-the-known-five", tuple(as_tuples) == THE_FIVE_RECT_PAIRS))
+    rect_records = _rect_pair_records(rect_pairs)
+    rect_sides = tuple((a.sides, b.sides) for a, b in rect_records)
+    checks.append(("rect-pairs-are-the-known-five", rect_sides == THE_FIVE_RECT_PAIRS))
 
     heronian = triangles.enumerate_heronian(TRI_MAX_PERIMETER)
     tri_pairs = triangles.match_amicable_triangles(heronian)
-    tri_tuples = [(a.sides.as_tuple(), b.sides.as_tuple()) for a, b in tri_pairs]
-    checks.append(("tri-search-finds-single-known-pair", tri_tuples == [THE_TRIANGLE_PAIR]))
+    tri_records = _tri_pair_records(tri_pairs)
+    tri_sides = [(a.sides, b.sides) for a, b in tri_records]
+    checks.append(("tri-search-finds-single-known-pair", tri_sides == [THE_TRIANGLE_PAIR]))
     checks.append(
         (
             "tri-pair-cross-equalities",
@@ -332,13 +315,11 @@ def _verification_checks():
         (
             "equable-triangles-recovered-and-excluded",
             len(equable_tris) == 5
-            and all(h.area == h.perimeter() for h in equable_tris)
             and not tris_in_pairs.intersection(equable_tris),
         )
     )
 
-    pair_records = _rect_pair_records(rect_pairs) + _tri_pair_records(tri_pairs)
-    return checks, pair_records, rect_count(RECT_MAX_SIDE) + len(heronian)
+    return checks, rect_records + tri_records, rect_count(RECT_MAX_SIDE) + len(heronian)
 
 
 def cmd_verify_all(fmt: str) -> int:
@@ -369,6 +350,8 @@ COMMANDS = {
     ("equable", "rect"): (cmd_equable_rect, {"--max-side": RECT_MAX_SIDE}, 0),
     ("verify", "all"): (cmd_verify_all, {}, 0),
 }
+# The least value of each int flag; the library functions keep their own checks.
+LEAST_VALUES = {"-a": 1, "-x": 1, "--max-side": 1, "--max-perimeter": 3}
 USAGE = [line.strip() for line in __doc__.splitlines() if line.startswith("    amipoly ")]
 
 
@@ -411,6 +394,10 @@ def _parse(argv: list[str]):
     missing = [name for name, value in values.items() if value is None]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
+    for name, least in LEAST_VALUES.items():
+        if values.get(name, least) < least:
+            rule = "positive" if least == 1 else f"at least {least}"
+            raise ValueError(f"{name} must be {rule}, got {values[name]}")
     return handler, [*(_int("A B C", token) for token in ints), *values.values()]
 
 

@@ -17,8 +17,6 @@ __all__ = [
     "LatticePoint",
     "LatticePolygon",
     "RadicalSum",
-    "LATTICE_SYMMETRIES",
-    "transform_point",
     "is_perfect_square",
     "twice_area",
     "boundary_point_count",
@@ -119,26 +117,6 @@ class LatticePoint(Record):
 
     def norm_sq(self) -> int:
         return self.x * self.x + self.y * self.y
-
-
-# The dihedral symmetries of the lattice (rotations by multiples of 90
-# degrees plus the four reflections), each as (a, b, c, d) acting by
-# (x, y) -> (a*x + b*y, c*x + d*y).
-LATTICE_SYMMETRIES: tuple[tuple[int, int, int, int], ...] = (
-    (1, 0, 0, 1),
-    (0, -1, 1, 0),
-    (-1, 0, 0, -1),
-    (0, 1, -1, 0),
-    (1, 0, 0, -1),
-    (-1, 0, 0, 1),
-    (0, 1, 1, 0),
-    (0, -1, -1, 0),
-)
-
-
-def transform_point(sym: tuple[int, int, int, int], p: LatticePoint) -> LatticePoint:
-    a, b, c, d = sym
-    return LatticePoint(a * p.x + b * p.y, c * p.x + d * p.y)
 
 
 class LatticePolygon(Record):

@@ -27,13 +27,15 @@ __all__ = [
     "report_from_dict",
 ]
 
-FAMILIES = (
-    "rectangles",
-    "triangles",
-    "equable-rectangles",
-    "equable-triangles",
-    "verification",  # consolidated multi-family report
-)
+# Each family -> (the side count of every shape its report lists, whether those
+# shapes are equable).  A verification report lists rectangle and triangle pairs.
+FAMILIES = {
+    "rectangles": (2, False),
+    "triangles": (3, False),
+    "equable-rectangles": (2, True),
+    "equable-triangles": (3, True),
+    "verification": (None, False),
+}
 
 
 # The checks a "verification" report carries, in order; no other family carries any.
@@ -105,20 +107,16 @@ class ShapeRecord(Record):
         return {"sides": list(self.sides), "area": self.area, "perimeter": self.perimeter}
 
 
-# Sides of every shape a family's report lists; a verification report lists both kinds.
-_SIDE_COUNTS = {"rectangles": 2, "equable-rectangles": 2, "triangles": 3, "equable-triangles": 3}
-
-
 def _check_shape(rec: ShapeRecord, family: str, bound: int | None):
     """rec may be listed in a family's report within the bound.
 
-    The family fixes the side count and, for the equable families, area =
-    perimeter; a non-null bound holds a rectangle's long side or a
-    triangle's perimeter.
+    FAMILIES fixes the side count and whether area = perimeter; a non-null
+    bound holds a rectangle's long side or a triangle's perimeter.
     """
-    if len(rec.sides) != _SIDE_COUNTS.get(family, len(rec.sides)):
+    n_sides, equable = FAMILIES[family]
+    if n_sides is not None and len(rec.sides) != n_sides:
         raise CertificateError(f"a {family} report cannot list {rec.shape_id}")
-    if family.startswith("equable") and rec.area != rec.perimeter:
+    if equable and rec.area != rec.perimeter:
         raise CertificateError(f"{rec.shape_id} is claimed equable but is not")
     size = rec.sides[-1] if len(rec.sides) == 2 else rec.perimeter
     if bound is not None and size > bound:
@@ -225,6 +223,7 @@ def assemble_report(
     """
     if family not in FAMILIES:
         raise CertificateError(f"unknown family: {family!r}")
+    equable = FAMILIES[family][1]
     if tuple(name for name, _ in checks) != (VERIFICATION_CHECKS if family == "verification" else ()):
         raise CertificateError(f"a {family} report does not carry its fixed list of checks")
     # A verification report mixes rectangles and triangles, whose bounds differ.
@@ -232,7 +231,7 @@ def assemble_report(
         raise CertificateError(f"a {family} report cannot have the bound {bound}")
     if family == "rectangles":
         scanned = 0 if bound is None else rect_count(bound)
-    elif family.startswith("equable"):
+    elif equable:
         scanned = len(shapes)
     else:
         # a heronian count, which only a new enumeration could check
@@ -252,7 +251,7 @@ def assemble_report(
             raise CertificateError(f"cross equalities fail: {first.shape_id} vs {second.shape_id}")
         normalized.append((first, second))
     normalized.sort(key=lambda p: (p[0].sides, p[1].sides))
-    keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if family.startswith("equable") else ()
+    keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if equable else ()
     if len(set(normalized)) < len(normalized) or len(set(keep_shapes)) < len(keep_shapes):
         raise CertificateError(f"repeated pair or shape in a {family} report")
     return SearchReport(

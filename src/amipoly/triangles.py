@@ -18,7 +18,6 @@ __all__ = [
     "TriangleSides",
     "HeronianTriangle",
     "TriangleEmbedding",
-    "EmbeddingSearchError",
     "as_heronian",
     "enumerate_heronian",
     "match_amicable_triangles",
@@ -252,10 +251,6 @@ def sum_two_squares_reps(n: int) -> list[LatticePoint]:
     )
 
 
-class EmbeddingSearchError(RuntimeError):
-    """The embedding search ran out of candidates; impossible for certified input."""
-
-
 class TriangleEmbedding(Record):
     """A lattice placement of a heronian triangle, certificate-checked on construction."""
 
@@ -308,8 +303,8 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     and integral coordinates and maps the candidates onto themselves: the
     least candidate is already least over the mirror images of every
     candidate, so no orbit needs to be taken.
-    Heronian triangles always embed; an exhausted search indicates internal
-    inconsistency and raises EmbeddingSearchError.
+    Heronian triangles always embed, so an exhausted search is an internal
+    inconsistency and raises AssertionError.
     """
     s = t.sides
     c_sq = s.c * s.c
@@ -325,5 +320,5 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
                     if best is None or key < best:
                         best = key
     if best is None:
-        raise EmbeddingSearchError(f"no lattice placement found for {s}")
+        raise AssertionError(f"no lattice placement found for {s}")
     return TriangleEmbedding(t, _ORIGIN, LatticePoint(*best[:2]), LatticePoint(*best[2:]))

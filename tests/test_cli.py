@@ -242,8 +242,8 @@ class TestSingleEnumeration:
 
 
 # (argv, exit code, the stream that gets output, text that stream holds).  The
-# other stream stays empty.  A usage error prints the usage of what was named
-# and then an "error:" line.
+# other stream stays empty.  A usage error, an int flag below its least value
+# included, prints the usage of what was named and then an "error:" line.
 GRAMMAR_CASES = [
     (["rect", "enumerate", "--format=json"], 0, "out", '"family": "rectangles"'),
     (["tri", "embed", "--format", "json", "3", "25", "26"], 0, "out", '"twice_area": 72'),
@@ -266,6 +266,12 @@ GRAMMAR_CASES = [
     (["tri", "embed"], 1, "err", "usage: amipoly tri embed A B C"),
     (["tri", "embed", "3", "4", "5", "6"], 1, "err", "usage: amipoly tri embed A B C"),
     (["rect", "solve", "-a", "-3", "-x", "5"], 1, "err", "positive"),
+    (["rect", "solve", "-a", "1", "-x", "0"], 1, "err", "error: -x must be positive, got 0"),
+    (["tri", "search", "--max-perimeter", "2"], 1, "err", "error: --max-perimeter must be at least 3, got 2"),
+    (["tri", "equable", "--max-perimeter", "2"], 1, "err", "error: --max-perimeter must be at least 3, got 2"),
+    (["equable", "rect", "--max-side", "0"], 1, "err", "error: --max-side must be positive, got 0"),
+    # A flag's range is checked on its last value.
+    (["rect", "oracle", "--max-side", "0", "--max-side", "5"], 0, "out", "bound: 5"),
     # Accepted by argparse, not by the command table: abbreviated long flags
     # and short flags with their value attached.
     (["rect", "oracle", "--max-s", "10"], 1, "err", "error: unrecognized argument: --max-s"),
@@ -283,6 +289,7 @@ class TestUsageErrors:
         assert text in (out if stream == "out" else err)
         assert (err if stream == "out" else out) == ""
         if code == 1:
+            assert err.startswith("usage: amipoly ")
             assert err.splitlines()[-1].startswith("error: ")
 
 

@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amipoly.lattice import (
-    LATTICE_SYMMETRIES,
     LatticePoint,
     LatticePolygon,
     RadicalSum,
@@ -22,7 +21,6 @@ from amipoly.lattice import (
     rational_radical_value,
     squared_side_lengths,
     three_radical_sum_is_rational,
-    transform_point,
     twice_area,
     two_radical_sum_is_rational,
 )
@@ -31,7 +29,7 @@ from amipoly.matching import ShapeRecord
 from amipoly.rectangles import RectSides
 from amipoly.triangles import HeronianTriangle, TriangleSides
 
-from _oracles import direct_boundary_count, direct_interior_count, floor_sqrt_scaled
+from _oracles import LATTICE_MAPS, direct_boundary_count, direct_interior_count, floor_sqrt_scaled
 
 
 def tri(*coords):
@@ -232,7 +230,7 @@ def test_pick_identity_against_scan(ax, ay, bx, by, cx, cy):
 @settings(max_examples=200)
 @given(
     ax=coord, ay=coord, bx=coord, by=coord, cx=coord, cy=coord,
-    sym=st.sampled_from(LATTICE_SYMMETRIES),
+    sym=st.sampled_from(LATTICE_MAPS),
     tx=st.integers(-30, 30), ty=st.integers(-30, 30),
 )
 def test_symmetry_invariance(ax, ay, bx, by, cx, cy, sym, tx, ty):
@@ -242,7 +240,7 @@ def test_symmetry_invariance(ax, ay, bx, by, cx, cy, sym, tx, ty):
     poly = tri(*verts)
     shift = LatticePoint(tx, ty)
     moved = LatticePolygon(
-        tuple(transform_point(sym, v) + shift for v in poly.vertices)
+        tuple(LatticePoint(*sym(v.x, v.y)) + shift for v in poly.vertices)
     )
     assert twice_area(moved) == twice_area(poly)
     assert sorted(squared_side_lengths(moved)) == sorted(squared_side_lengths(poly))
@@ -312,10 +310,14 @@ RECORD_CASES = {
 
 class TestRecords:
     def test_cli_import_loads_neither_dataclasses_nor_inspect(self):
-        """Nor, after a command has run, argparse, gettext or locale."""
+        """Nor, after a command has run, argparse, gettext or locale; nor json
+        until a command prints JSON."""
         probe = (
-            "import sys; import amipoly.cli; "
-            "amipoly.cli.main(['tri', 'embed', '3', '25', '26', '--format', 'json']); "
+            "import sys; from amipoly.cli import main; "
+            "main(['verify', 'all', '--format', 'table']); "
+            "main(['verify', 'all', '--format', 'csv']); "
+            "print('json loaded:', 'json' in sys.modules); "
+            "main(['tri', 'embed', '3', '25', '26', '--format', 'json']); "
             "print(sorted({'argparse', 'csv', 'dataclasses', 'gettext', 'inspect', 'locale'}"
             " & set(sys.modules)))"
         )
@@ -324,7 +326,9 @@ class TestRecords:
         out = subprocess.run(
             [sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True
         )
-        assert out.stdout.splitlines()[-1] == "[]"
+        lines = out.stdout.splitlines()
+        assert "json loaded: False" in lines
+        assert lines[-1] == "[]"
 
     @pytest.mark.parametrize("name", RECORD_CASES)
     def test_unequal_to_its_field_tuple(self, name):
