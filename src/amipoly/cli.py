@@ -71,83 +71,69 @@ def _print_csv(rows):
     sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
-def _emit_single(fmt: str, payload: dict, header: list, row: list, lines: list[str]):
-    """Print one result: its JSON payload, a CSV header and row, or table lines."""
-    if fmt == "json":
-        _print_json(payload)
-    elif fmt == "csv":
-        _print_csv([header, row])
-    else:
-        print("\n".join(lines))
-
-
-def _emit_report(report: SearchReport, fmt: str):
-    if fmt == "json":
-        _print_json(report.to_canonical_dict())
-        return
+def _report_output(report: SearchReport):
+    """The JSON payload, CSV rows and table lines of a report."""
     n_sides, equable = FAMILIES[report.family]
-    if fmt == "csv":
-        if n_sides is None:
-            rows = [["check", "status"]]
-            rows += [[name, "pass" if ok else "fail"] for name, ok in report.checks]
-        elif equable:
-            rows = [["family", *"abc"[:n_sides], "area", "perim"]]
-            rows += [[report.family, *s.sides, s.area, s.perimeter] for s in report.shapes]
-        else:
-            rows = [["family", *"abc"[:n_sides], *"xyz"[:n_sides], "area1", "perim1", "area2", "perim2"]]
-            rows += [
-                [report.family, *a.sides, *b.sides, a.area, a.perimeter, b.area, b.perimeter]
+    if n_sides is None:
+        rows = [["check", "status"]]
+        rows += [[name, "pass" if ok else "fail"] for name, ok in report.checks]
+    elif equable:
+        rows = [["family", *"abc"[:n_sides], "area", "perim"]]
+        rows += [[report.family, *s.sides, s.area, s.perimeter] for s in report.shapes]
+    else:
+        rows = [["family", *"abc"[:n_sides], *"xyz"[:n_sides], "area1", "perim1", "area2", "perim2"]]
+        rows += [
+            [report.family, *a.sides, *b.sides, a.area, a.perimeter, b.area, b.perimeter]
+            for a, b in report.pairs
+        ]
+
+    lines = [
+        f"family: {report.family}",
+        "bound: exact" if report.bound is None else f"bound: {report.bound}",
+        f"shapes scanned: {report.shapes_scanned}",
+    ]
+    if equable:
+        lines.append(f"shapes: {len(report.shapes)}")
+        if report.shapes:
+            lines.append(f"{'sides':<12}{'area':>8}{'perimeter':>12}")
+            lines += [f"{s.shape_id:<12}{s.area:>8}{s.perimeter:>12}" for s in report.shapes]
+    if report.pairs or not equable:
+        lines.append(f"pairs: {len(report.pairs)}")
+        if report.pairs:
+            lines.append(
+                f"{'first':<12}{'second':<12}{'area1':>6}{'perim1':>8}{'area2':>7}{'perim2':>8}"
+            )
+            lines += [
+                f"{a.shape_id:<12}{b.shape_id:<12}"
+                f"{a.area:>6}{a.perimeter:>8}{b.area:>7}{b.perimeter:>8}"
                 for a, b in report.pairs
             ]
-        _print_csv(rows)
-        return
-
-    # human table
-    print(f"family: {report.family}")
-    print("bound: exact" if report.bound is None else f"bound: {report.bound}")
-    print(f"shapes scanned: {report.shapes_scanned}")
-    if equable:
-        print(f"shapes: {len(report.shapes)}")
-        if report.shapes:
-            print(f"{'sides':<12}{'area':>8}{'perimeter':>12}")
-            for s in report.shapes:
-                print(f"{s.shape_id:<12}{s.area:>8}{s.perimeter:>12}")
-    if report.pairs or not equable:
-        print(f"pairs: {len(report.pairs)}")
-        if report.pairs:
-            print(f"{'first':<12}{'second':<12}{'area1':>6}{'perim1':>8}{'area2':>7}{'perim2':>8}")
-            for a, b in report.pairs:
-                print(
-                    f"{a.shape_id:<12}{b.shape_id:<12}"
-                    f"{a.area:>6}{a.perimeter:>8}{b.area:>7}{b.perimeter:>8}"
-                )
     if report.checks:
-        print()
         width = max(len(name) for name, _ in report.checks) + 2
-        for name, ok in report.checks:
-            print(f"{name:<{width}}{'pass' if ok else 'FAIL'}")
-        print()
-        print(f"{len(report.pairs)} amicable pairs total")
+        lines += ["", *(f"{name:<{width}}{'pass' if ok else 'FAIL'}" for name, ok in report.checks)]
+        lines += ["", f"{len(report.pairs)} amicable pairs total"]
+    return report.to_canonical_dict(), rows, lines
 
 
 # --- subcommands ------------------------------------------------------------
 
+# Each handler returns (exit code, JSON payload, CSV rows, table lines); main
+# prints the one that --format names.
 
-def cmd_rect_enumerate(fmt: str) -> int:
+
+def cmd_rect_enumerate():
     pairs = rectangles.enumerate_by_divisors()
     report = assemble_report("rectangles", None, [], _rect_pair_records(pairs))
-    _emit_report(report, fmt)
-    return EXIT_OK
+    return EXIT_OK, *_report_output(report)
 
 
-def cmd_rect_oracle(max_side: int, fmt: str) -> int:
+def cmd_rect_oracle(max_side: int):
     pairs = rectangles.brute_force_pairs(max_side)
     report = assemble_report("rectangles", max_side, [], _rect_pair_records(pairs))
-    _emit_report(report, fmt)
-    return EXIT_OK
+    return EXIT_OK, *_report_output(report)
 
 
-def cmd_rect_solve(a: int, x: int, fmt: str) -> int:
+def cmd_rect_solve(a: int, x: int):
     sol = rectangles.solve_partner(a, x)
     payload = {
         "a": a,
@@ -165,26 +151,20 @@ def cmd_rect_solve(a: int, x: int, fmt: str) -> int:
         payload["first"], payload["second"] = first.to_dict(), second.to_dict()
         line = f"b={sol.b} y={sol.y}  (rectangles {first.shape_id} and {second.shape_id})"
     row = [a, x, payload["status"], payload["reason"] or "", payload.get("b", ""), payload.get("y", "")]
-    _emit_single(fmt, payload, ["a", "x", "status", "reason", "b", "y"], row, [line])
-    return EXIT_OK if sol.solved else EXIT_NO_RESULT
+    code = EXIT_OK if sol.solved else EXIT_NO_RESULT
+    return code, payload, [["a", "x", "status", "reason", "b", "y"], row], [line]
 
 
-def cmd_tri_search(max_perimeter: int, fmt: str) -> int:
+def cmd_tri_search(max_perimeter: int):
     found = triangles.enumerate_heronian(max_perimeter)
     pairs = triangles.match_amicable_triangles(found)
     report = assemble_report(
         "triangles", max_perimeter, [], _tri_pair_records(pairs), shapes_scanned=len(found)
     )
-    _emit_report(report, fmt)
-    return EXIT_OK
+    return EXIT_OK, *_report_output(report)
 
 
-def cmd_tri_embed(a: int, b: int, c: int, fmt: str) -> int:
-    try:
-        sides = TriangleSides.of(a, b, c)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+def cmd_tri_embed(sides: TriangleSides):
     heronian = triangles.as_heronian(sides)
     if heronian is None:
         sixteen_area_sq = sides.sixteen_area_sq()
@@ -193,12 +173,10 @@ def cmd_tri_embed(a: int, b: int, c: int, fmt: str) -> int:
             "status": "not-heronian",
             "sixteen_area_sq": sixteen_area_sq,
         }
-        _emit_single(
-            fmt, payload, ["a", "b", "c", "status", "sixteen_area_sq"],
-            [*sides.as_tuple(), "not-heronian", sixteen_area_sq],
-            [f"{sides}: not heronian (16*Area^2 = {sixteen_area_sq})"],
-        )
-        return EXIT_NO_RESULT
+        header = ["a", "b", "c", "status", "sixteen_area_sq"]
+        row = [*sides.as_tuple(), "not-heronian", sixteen_area_sq]
+        line = f"{sides}: not heronian (16*Area^2 = {sixteen_area_sq})"
+        return EXIT_NO_RESULT, payload, [header, row], [line]
     emb = triangles.embed_triangle(heronian)
     vertices, twice, squared = emb.vertices(), emb.twice_area(), emb.squared_sides()
     payload = {
@@ -210,36 +188,35 @@ def cmd_tri_embed(a: int, b: int, c: int, fmt: str) -> int:
         "twice_area": twice,
         "squared_sides": squared,
     }
-    _emit_single(
-        fmt, payload, ["a", "b", "c", "x0", "y0", "x1", "y1", "x2", "y2", "twice_area"],
+    rows = [
+        ["a", "b", "c", "x0", "y0", "x1", "y1", "x2", "y2", "twice_area"],
         [*sides.as_tuple(), *(n for p in vertices for n in (p.x, p.y)), twice],
-        [
-            f"triangle: {sides}  (area {heronian.area}, perimeter {heronian.perimeter()})",
-            "vertices: " + " ".join(f"({p.x},{p.y})" for p in vertices),
-            f"twice area: {twice}",
-            "squared sides: " + " ".join(str(s) for s in squared),
-        ],
-    )
-    return EXIT_OK
+    ]
+    lines = [
+        f"triangle: {sides}  (area {heronian.area}, perimeter {heronian.perimeter()})",
+        "vertices: " + " ".join(f"({p.x},{p.y})" for p in vertices),
+        f"twice area: {twice}",
+        "squared sides: " + " ".join(str(s) for s in squared),
+    ]
+    return EXIT_OK, payload, rows, lines
 
 
-def _equable_report(family: str, bound: int, records: list[ShapeRecord], fmt: str) -> int:
+def _equable_report(family: str, bound: int, records: list[ShapeRecord]):
     """Report equable shapes and the amicable pairs among them."""
     pairs = matching.match_amicable(records)
-    _emit_report(assemble_report(family, bound, records, pairs), fmt)
-    return EXIT_OK
+    return EXIT_OK, *_report_output(assemble_report(family, bound, records, pairs))
 
 
-def cmd_tri_equable(max_perimeter: int, fmt: str) -> int:
+def cmd_tri_equable(max_perimeter: int):
     found = triangles.find_equable_triangles(max_perimeter)
     records = [ShapeRecord(h.sides.as_tuple()) for h in found]
-    return _equable_report("equable-triangles", max_perimeter, records, fmt)
+    return _equable_report("equable-triangles", max_perimeter, records)
 
 
-def cmd_equable_rect(max_side: int, fmt: str) -> int:
+def cmd_equable_rect(max_side: int):
     found = rectangles.equable_rectangles(max_side)
     records = [ShapeRecord((r.short, r.long)) for r in found]
-    return _equable_report("equable-rectangles", max_side, records, fmt)
+    return _equable_report("equable-rectangles", max_side, records)
 
 
 # --- verify all -------------------------------------------------------------
@@ -322,24 +299,24 @@ def _verification_checks():
     return checks, rect_records + tri_records, rect_count(RECT_MAX_SIDE) + len(heronian)
 
 
-def cmd_verify_all(fmt: str) -> int:
+def cmd_verify_all():
     checks, pair_records, scanned = _verification_checks()
     report = assemble_report(
         "verification", None, [], pair_records, checks=tuple(checks), shapes_scanned=scanned
     )
-    _emit_report(report, fmt)
     failing = [name for name, ok in checks if not ok]
     if failing:
         print("verification failed: " + ", ".join(failing), file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    return EXIT_OK
+    return EXIT_VERIFY_FAILED if failing else EXIT_OK, *_report_output(report)
 
 
 # --- argument parsing --------------------------------------------------------
 
 # (group, command) -> (handler, flags, number of positional ints); a flag maps to
-# its default, or to None when it is required.  Every command also takes --format.
-# The handler gets the ints, then the flag values in table order, then the format.
+# its default, or to None when it is required.  Every command also takes --format,
+# which main applies.  Only tri embed takes ints, so _parse reads its three as one
+# TriangleSides, and a triple that is no triangle is a usage error.  The handler
+# gets those sides, then the flag values in table order.
 COMMANDS = {
     ("rect", "enumerate"): (cmd_rect_enumerate, {}, 0),
     ("rect", "solve"): (cmd_rect_solve, {"-a": None, "-x": None}, 0),
@@ -368,18 +345,18 @@ def _int(name: str, token: str) -> int:
 
 
 def _parse(argv: list[str]):
-    """The handler argv names and its arguments; raises ValueError on a usage error."""
+    """The handler argv names, its arguments and the format; raises ValueError on a usage error."""
     if tuple(argv[:2]) not in COMMANDS:
         raise ValueError(f"unknown command: {' '.join(argv[:2]) or '(none)'}")
     handler, flags, n_ints = COMMANDS[tuple(argv[:2])]
     values = {**flags, "--format": "table"}
     ints, tokens = [], iter(argv[2:])
     for token in tokens:
-        if not _is_flag(token):
+        if n_ints and not _is_flag(token):
             ints.append(token)
             continue
         name, eq, value = token.partition("=")
-        if name not in values:
+        if not _is_flag(token) or name not in values:
             raise ValueError(f"unrecognized argument: {token}")
         value = value if eq else next(tokens, None)
         if value is None or (not eq and _is_flag(value)):
@@ -398,7 +375,9 @@ def _parse(argv: list[str]):
         if values.get(name, least) < least:
             rule = "positive" if least == 1 else f"at least {least}"
             raise ValueError(f"{name} must be {rule}, got {values[name]}")
-    return handler, [*(_int("A B C", token) for token in ints), *values.values()]
+    fmt = values.pop("--format")
+    sides = [TriangleSides.of(*(_int("A B C", token) for token in ints))] if n_ints else []
+    return handler, [*sides, *values.values()], fmt
 
 
 def main(argv=None) -> int:
@@ -407,13 +386,20 @@ def main(argv=None) -> int:
         sys.stdout.write(__doc__)
         return EXIT_OK
     try:
-        handler, args = _parse(argv)
+        handler, args, fmt = _parse(argv)
     except ValueError as exc:
         prefix = " ".join(["amipoly", *argv[:2], ""])
         usage = [line for line in USAGE if line.startswith(prefix)] or USAGE
         print("usage: " + "\n       ".join(usage) + f"\nerror: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    return handler(*args)
+    code, payload, rows, lines = handler(*args)
+    if fmt == "json":
+        _print_json(payload)
+    elif fmt == "csv":
+        _print_csv(rows)
+    else:
+        print("\n".join(lines))
+    return code
 
 
 def run():

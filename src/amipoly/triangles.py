@@ -12,7 +12,9 @@ from __future__ import annotations
 
 from math import isqrt
 
-from .lattice import LatticePoint, LatticePolygon, Record, is_perfect_square, twice_area
+from .lattice import (
+    LatticePoint, LatticePolygon, Record, is_perfect_square, squared_side_lengths, twice_area
+)
 
 __all__ = [
     "TriangleSides",
@@ -277,11 +279,7 @@ class TriangleEmbedding(Record):
         return LatticePolygon(self.vertices())
 
     def squared_sides(self) -> list[int]:
-        return [
-            (self.v1 - self.v0).norm_sq(),
-            (self.v2 - self.v1).norm_sq(),
-            (self.v0 - self.v2).norm_sq(),
-        ]
+        return squared_side_lengths(self.as_polygon())
 
     def twice_area(self) -> int:
         return twice_area(self.as_polygon())

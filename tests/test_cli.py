@@ -202,14 +202,33 @@ class TestVerifyAll:
         assert code == 0
         assert out.rstrip().splitlines()[-1] == "6 amicable pairs total"
 
-    def test_injected_fault_exits_three(self, capsys, monkeypatch):
+    @pytest.fixture
+    def fault(self, monkeypatch):
+        """Drop the last pair from the divisor enumeration, so two checks fail."""
         real = rect_mod.enumerate_by_divisors
         monkeypatch.setattr(rect_mod, "enumerate_by_divisors", lambda: real()[:-1])
+
+    def test_injected_fault_exits_three(self, capsys, fault):
         code, payload, err = run_json(capsys, "verify", "all", "--format", "json")
         assert code == 3
         assert "rect-divisor-enumeration-matches-oracle" in err
         statuses = {c["name"]: c["status"] for c in payload["checks"]}
         assert statuses["rect-divisor-enumeration-matches-oracle"] == "fail"
+
+    def test_injected_fault_table(self, capsys, fault):
+        code, out, _ = run_cli(capsys, "verify", "all")
+        assert code == 3
+        lines = out.splitlines()
+        for name in ("rect-divisor-enumeration-matches-oracle", "rect-pairs-are-the-known-five"):
+            assert [l.split() for l in lines if l.startswith(name + " ")] == [[name, "FAIL"]]
+        assert lines[-1] == "5 amicable pairs total"
+
+    def test_injected_fault_csv(self, capsys, fault):
+        code, out, _ = run_cli(capsys, "verify", "all", "--format", "csv")
+        assert code == 3
+        rows = out.splitlines()
+        assert "rect-divisor-enumeration-matches-oracle,fail" in rows
+        assert "rect-pairs-are-the-known-five,fail" in rows
 
     def test_deterministic_json(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "all", "--format", "json")
@@ -276,6 +295,10 @@ GRAMMAR_CASES = [
     # and short flags with their value attached.
     (["rect", "oracle", "--max-s", "10"], 1, "err", "error: unrecognized argument: --max-s"),
     (["rect", "solve", "-a1", "-x7"], 1, "err", "error: unrecognized argument: -a1"),
+    # Sides that make no triangle, and a stray word, are usage errors too.
+    (["tri", "embed", "1", "2", "3"], 1, "err", "error: triangle inequality fails for 1x2x3"),
+    (["tri", "embed", "0", "3", "4"], 1, "err", "error: sides must satisfy 1 <= a <= b <= c, got 0x3x4"),
+    (["verify", "all", "extra"], 1, "err", "error: unrecognized argument: extra"),
 ]
 
 
