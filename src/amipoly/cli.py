@@ -24,8 +24,10 @@ from __future__ import annotations
 
 import sys
 
-from . import matching, rectangles, triangles
-from .matching import FAMILIES, SearchReport, ShapeRecord, assemble_report, rect_count
+from . import rectangles, triangles
+from .matching import (
+    FAMILIES, VERIFICATION_CHECKS, SearchReport, ShapeRecord, assemble_report, rect_count
+)
 from .triangles import TriangleSides
 
 __all__ = ["RECT_MAX_SIDE", "TRI_MAX_PERIMETER", "main", "run"]
@@ -97,7 +99,7 @@ def _report_output(report: SearchReport):
         if report.shapes:
             lines.append(f"{'sides':<12}{'area':>8}{'perimeter':>12}")
             lines += [f"{s.shape_id:<12}{s.area:>8}{s.perimeter:>12}" for s in report.shapes]
-    if report.pairs or not equable:
+    if not equable:
         lines.append(f"pairs: {len(report.pairs)}")
         if report.pairs:
             lines.append(
@@ -202,9 +204,10 @@ def cmd_tri_embed(sides: TriangleSides):
 
 
 def _equable_report(family: str, bound: int, records: list[ShapeRecord]):
-    """Report equable shapes and the amicable pairs among them."""
-    pairs = matching.match_amicable(records)
-    return EXIT_OK, *_report_output(assemble_report(family, bound, records, pairs))
+    """Report equable shapes.  Two of them are never amicable: that would take
+    equal area = perimeter values, and the closed forms give distinct ones
+    (16 and 18 for rectangles; 24, 30, 36, 42 and 60 for triangles)."""
+    return EXIT_OK, *_report_output(assemble_report(family, bound, records, []))
 
 
 def cmd_tri_equable(max_perimeter: int):
@@ -232,70 +235,45 @@ THE_TRIANGLE_PAIR = ((3, 25, 26), (9, 12, 15))
 
 
 def _verification_checks():
-    """Run every consistency check; returns (checks, pair_records, shapes_scanned)."""
-    checks: list[tuple[str, bool]] = []
-
+    """Run every consistency check; returns (checks, pair_records, shapes_scanned),
+    with the checks named by VERIFICATION_CHECKS, in its order."""
     rect_pairs = rectangles.enumerate_by_divisors()
     oracle_pairs = rectangles.brute_force_pairs(RECT_MAX_SIDE)
-    checks.append(("rect-divisor-enumeration-matches-oracle", rect_pairs == oracle_pairs))
     rect_records = _rect_pair_records(rect_pairs)
-    rect_sides = tuple((a.sides, b.sides) for a, b in rect_records)
-    checks.append(("rect-pairs-are-the-known-five", rect_sides == THE_FIVE_RECT_PAIRS))
-
     heronian = triangles.enumerate_heronian(TRI_MAX_PERIMETER)
     tri_pairs = triangles.match_amicable_triangles(heronian)
     tri_records = _tri_pair_records(tri_pairs)
-    tri_sides = [(a.sides, b.sides) for a, b in tri_records]
-    checks.append(("tri-search-finds-single-known-pair", tri_sides == [THE_TRIANGLE_PAIR]))
-    checks.append(
-        (
-            "tri-pair-cross-equalities",
-            all(
-                a.area == b.perimeter() and b.area == a.perimeter()
-                for a, b in tri_pairs
-            ),
-        )
-    )
 
+    # Each triangle of the known pair, placed on the lattice, has twice its
+    # partner's perimeter as twice area and its own squared sides.
     embed_ok = True
-    for sides, want_doubled in (((9, 12, 15), 108), ((3, 25, 26), 72)):
+    for sides, partner in (THE_TRIANGLE_PAIR, THE_TRIANGLE_PAIR[::-1]):
         h = triangles.as_heronian(TriangleSides.of(*sides))
-        if h is None:
-            embed_ok = False
-            continue
-        emb = triangles.embed_triangle(h)
-        want_squares = sorted(s * s for s in sides)
-        embed_ok = embed_ok and emb.twice_area() == want_doubled
-        embed_ok = embed_ok and sorted(emb.squared_sides()) == want_squares
-    checks.append(("embeddings-certify-both-triangles", embed_ok))
+        emb = None if h is None else triangles.embed_triangle(h)
+        embed_ok &= emb is not None and emb.twice_area() == 2 * sum(partner)
+        embed_ok &= emb is not None and sorted(emb.squared_sides()) == sorted(s * s for s in sides)
 
-    dominant_ok = True
-    for p in oracle_pairs:
-        dominant = [r for r in (p.first, p.second) if rectangles.perimeter_dominant(r)]
-        dominant_ok &= bool(dominant) and all(r.short in (1, 2) for r in dominant)
-    candidates = rectangles.small_side_candidates(RECT_MAX_SIDE)
-    checks.append(("dominant-member-short-side-is-1-or-2", dominant_ok and candidates == [1, 2]))
-
-    equable_rects = rectangles.equable_rectangles(RECT_MAX_SIDE)
+    # A pair's areas sum to its perimeters, so it always has a perimeter-dominant member.
     rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
-    checks.append(
-        (
-            "equable-rectangles-recovered-and-excluded",
-            [(r.short, r.long) for r in equable_rects] == [(3, 6), (4, 4)]
-            and not rects_in_pairs.intersection(equable_rects),
-        )
-    )
-
+    dominant = [r for r in rects_in_pairs if rectangles.perimeter_dominant(r)]
+    equable_rects = rectangles.equable_rectangles(RECT_MAX_SIDE)
     equable_tris = [h for h in heronian if h.area == h.perimeter()]
     tris_in_pairs = {h for pair in tri_pairs for h in pair}
-    checks.append(
-        (
-            "equable-triangles-recovered-and-excluded",
-            len(equable_tris) == 5
-            and not tris_in_pairs.intersection(equable_tris),
-        )
-    )
 
+    results = (
+        rect_pairs == oracle_pairs,
+        tuple((a.sides, b.sides) for a, b in rect_records) == THE_FIVE_RECT_PAIRS,
+        [(a.sides, b.sides) for a, b in tri_records] == [THE_TRIANGLE_PAIR],
+        all(a.area == b.perimeter() and b.area == a.perimeter() for a, b in tri_pairs),
+        embed_ok,
+        {r.short for r in dominant} <= {1, 2}
+        and rectangles.small_side_candidates(RECT_MAX_SIDE) == [1, 2],
+        [(r.short, r.long) for r in equable_rects] == [(3, 6), (4, 4)]
+        and not rects_in_pairs.intersection(equable_rects),
+        equable_tris == triangles.find_equable_triangles(TRI_MAX_PERIMETER)
+        and not tris_in_pairs.intersection(equable_tris),
+    )
+    checks = list(zip(VERIFICATION_CHECKS, results, strict=True))
     return checks, rect_records + tri_records, rect_count(RECT_MAX_SIDE) + len(heronian)
 
 

@@ -123,9 +123,10 @@ class LatticePolygon(Record):
     """A polygon with vertices on the integer lattice, in boundary order.
 
     Consecutive vertices must be distinct.  Simplicity (no self
-    intersection) is required by the point-counting operations; it is
-    checked exactly for triangles and axis-aligned rectangles and is a
-    documented caller obligation for anything else.
+    intersection) is required by the point-counting operations.  A triangle
+    or 4-gon with axis-parallel edges and nonzero area is always simple (see
+    _require_countable); for anything else it is a documented caller
+    obligation.
     """
 
     __slots__ = ("vertices",)
@@ -165,35 +166,19 @@ def squared_side_lengths(poly: LatticePolygon) -> list[int]:
     return [(q - p).norm_sq() for p, q in poly.edges()]
 
 
-def _is_axis_aligned_rectangle(poly: LatticePolygon) -> bool:
-    if len(poly.vertices) != 4:
-        return False
-    deltas = [q - p for p, q in poly.edges()]
-    if any(d.x != 0 and d.y != 0 for d in deltas):
-        return False
-    # opposite edges cancel, adjacent edges alternate axes
-    return (
-        deltas[0] + deltas[2] == LatticePoint(0, 0)
-        and deltas[1] + deltas[3] == LatticePoint(0, 0)
-        and (deltas[0].x == 0) != (deltas[1].x == 0)
-    )
-
-
 def _require_countable(poly: LatticePolygon) -> int:
     """Validate the preconditions of the point-counting operations.
 
-    Returns twice_area.  A nondegenerate triangle is automatically simple;
-    a 4-gon with axis-parallel edges must close up as a rectangle, which is
-    checked exactly.  Any other polygon relies on the documented simplicity
+    Returns twice_area.  A nondegenerate triangle is automatically simple,
+    and so is a nondegenerate 4-gon with axis-parallel edges: four nonzero
+    axis-parallel edges that close up either alternate axes, which makes a
+    rectangle, or else lie on one line or retrace an edge, which leaves
+    twice_area 0.  Any other polygon relies on the documented simplicity
     precondition.
     """
     doubled = twice_area(poly)
     if doubled == 0:
         raise ValueError("degenerate polygon: twice_area is 0")
-    if len(poly.vertices) == 4:
-        deltas = [q - p for p, q in poly.edges()]
-        if all(d.x == 0 or d.y == 0 for d in deltas) and not _is_axis_aligned_rectangle(poly):
-            raise ValueError("axis-parallel 4-gon is not a simple rectangle")
     return doubled
 
 
@@ -219,6 +204,11 @@ def integer_side_lengths(poly: LatticePolygon) -> list[int] | None:
     return out
 
 
+def _require_positive_radicand(n: int):
+    if type(n) is not int or n < 1:
+        raise ValueError(f"radicand must be a positive integer, got {n!r}")
+
+
 class RadicalSum(Record):
     """A value of the form sum(sqrt(a_i)), stored as the multiset of radicands.
 
@@ -233,8 +223,7 @@ class RadicalSum(Record):
         if not radicands:
             raise ValueError("a radical sum needs at least one radicand")
         for a in radicands:
-            if type(a) is not int or a < 1:
-                raise ValueError(f"radicand must be a positive integer, got {a!r}")
+            _require_positive_radicand(a)
         self._store("radicands", radicands)
 
     @classmethod
@@ -252,11 +241,6 @@ def rational_radical_value(r: RadicalSum) -> int | None:
     if not radical_sum_is_rational(r):
         return None
     return sum(isqrt(a) for a in r.radicands)
-
-
-def _require_positive_radicand(n: int):
-    if n < 1:
-        raise ValueError(f"radicand must be a positive integer, got {n!r}")
 
 
 def two_radical_sum_is_rational(x: int, y: int) -> bool:

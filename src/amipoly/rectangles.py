@@ -80,22 +80,19 @@ def _partner_quadratic(r: RectSides) -> RectSides | None:
     """The unique rectangle whose perimeter is r's area and area is r's perimeter.
 
     Solves x + y = area/2, x*y = perimeter over positive integers via the
-    discriminant; None when no such rectangle exists.
+    discriminant; None when no such rectangle exists.  A square discriminant
+    needs no further test: s^2 - root^2 = 4p makes s - root even, and
+    root < s makes x >= 1.
     """
     if r.area() % 2:
         return None  # a partner perimeter 2*(x + y) is always even
     s = r.area() // 2
     p = r.perimeter()
     disc = s * s - 4 * p
-    if disc < 0 or not is_perfect_square(disc):
+    if not is_perfect_square(disc):  # False for disc < 0 too
         return None
     root = isqrt(disc)
-    if (s - root) % 2:
-        return None
-    x = (s - root) // 2
-    if x < 1:
-        return None
-    return RectSides.of(x, (s + root) // 2)
+    return RectSides((s - root) // 2, (s + root) // 2)
 
 
 def small_side_candidates(max_side: int) -> list[int]:

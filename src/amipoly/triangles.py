@@ -84,13 +84,15 @@ class HeronianTriangle(Record):
 def as_heronian(t: TriangleSides) -> HeronianTriangle | None:
     """The certified heronian record for t, or None when the area is not an integer.
 
-    16*Area^2 must be a perfect square whose root is divisible by 4; triples
-    with odd perimeter have an odd Heron product, whose root (if any) gives a
-    quarter-integer area and is rejected here.
+    16*Area^2 must be a perfect square, and then its root is divisible by 4.
+    At even perimeter P every Heron factor is even, so the product is 16
+    times s(s - a)(s - b)(s - c).  At odd P the four factors are odd and sum
+    to 2P = 2 (mod 4), so an odd number of them are 3 (mod 4), and so is
+    their product, which is therefore never a square.
     """
     v = t.sixteen_area_sq()
     root = isqrt(v)
-    if root * root != v or root % 4:
+    if root * root != v:
         return None
     return HeronianTriangle(t, root // 4)
 

@@ -230,6 +230,15 @@ class TestVerifyAll:
         assert "rect-divisor-enumeration-matches-oracle,fail" in rows
         assert "rect-pairs-are-the-known-five,fail" in rows
 
+    def test_equable_triangle_fault_fails_only_its_check(self, capsys, monkeypatch):
+        real = tri_mod.find_equable_triangles
+        monkeypatch.setattr(tri_mod, "find_equable_triangles", lambda n: real(n)[:-1])
+        code, payload, err = run_json(capsys, "verify", "all", "--format", "json")
+        assert code == 3
+        assert err == "verification failed: equable-triangles-recovered-and-excluded\n"
+        failing = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
+        assert failing == ["equable-triangles-recovered-and-excluded"]
+
     def test_deterministic_json(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "all", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "all", "--format", "json")

@@ -23,6 +23,7 @@ from amipoly.lattice import (
     three_radical_sum_is_rational,
     twice_area,
     two_radical_sum_is_rational,
+    _require_countable,
 )
 
 from amipoly.matching import ShapeRecord
@@ -94,6 +95,31 @@ class TestPointCounts:
             boundary_point_count(degenerate)
         with pytest.raises(ValueError):
             interior_point_count(degenerate)
+
+    def test_axis_parallel_4gons_are_rectangles_or_degenerate(self):
+        # _require_countable has no rectangle test of its own: every axis-parallel
+        # 4-gon on the grid is a rectangle or is rejected for its zero area.
+        grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
+        along_axis = {p: [q for q in grid if q != p and (q[0] == p[0] or q[1] == p[1])] for p in grid}
+        kinds = {"rectangle": 0, "degenerate": 0}
+        for v0 in grid:
+            for v1 in along_axis[v0]:
+                for v2 in along_axis[v1]:
+                    for v3 in along_axis[v2]:
+                        if v3 not in along_axis[v0]:
+                            continue
+                        vertices = (v0, v1, v2, v3)
+                        try:
+                            _require_countable(LatticePolygon.from_coords(vertices))
+                        except ValueError as exc:
+                            assert str(exc) == "degenerate polygon: twice_area is 0"
+                            kinds["degenerate"] += 1
+                            continue
+                        # four distinct corners of a box, joined along its sides
+                        xs, ys = {x for x, _ in vertices}, {y for _, y in vertices}
+                        assert len(xs) == len(ys) == len(set(vertices)) - 2 == 2
+                        kinds["rectangle"] += 1
+        assert kinds["rectangle"] and kinds["degenerate"]
 
 
 class TestSides:
@@ -192,6 +218,20 @@ class TestRadicalSums:
             RadicalSum.of(True, 4)
         with pytest.raises(ValueError):
             RadicalSum((4, False))
+
+    @pytest.mark.parametrize(
+        "check, radicands",
+        [
+            (two_radical_sum_is_rational, (True, 4)),
+            (three_radical_sum_is_rational, (True, True, 4)),
+            (two_radical_sum_is_rational, (2.0, 8)),
+        ],
+    )
+    def test_elementary_paths_take_the_radical_sum_rule(self, check, radicands):
+        with pytest.raises(ValueError, match="radicand must be a positive integer"):
+            check(*radicands)
+        with pytest.raises(ValueError, match="radicand must be a positive integer"):
+            RadicalSum(radicands)
 
 
 @given(

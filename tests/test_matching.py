@@ -21,6 +21,8 @@ from amipoly.matching import (
     match_amicable,
     report_from_dict,
 )
+from amipoly.rectangles import equable_rectangles
+from amipoly.triangles import find_equable_triangles
 
 from _oracles import naive_amicable_scan, naive_heronian_triples
 
@@ -102,6 +104,14 @@ class TestMatchAmicable:
         shuffled = shapes[:]
         random.Random(seed).shuffle(shuffled)
         assert match_amicable(shapes) == match_amicable(shuffled)
+
+    def test_equable_shapes_never_pair(self):
+        # why equable reports pass no pairs: their area = perimeter values differ
+        triangles = [ShapeRecord(h.sides.as_tuple()) for h in find_equable_triangles(1000)]
+        rectangles = [ShapeRecord((r.short, r.long)) for r in equable_rectangles(1000)]
+        for shapes, values in ((triangles, [24, 30, 36, 42, 60]), (rectangles, [16, 18])):
+            assert sorted(s.area for s in shapes) == values
+            assert match_amicable(shapes) == []
 
     def test_no_self_pairs_even_when_equable(self):
         shapes = [ShapeFingerprint(7, 7, f"eq:{k}") for k in range(5)]

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 
@@ -81,6 +82,20 @@ class TestSmallSideCandidates:
         assert [
             (x, 6 - x) for x in range(-20, 21) if x * (6 - x) == 14
         ] == []
+
+    def test_partner_quadratic_equals_scan(self):
+        # A square discriminant always gives a partner, so _partner_quadratic
+        # tests neither parity nor the sign of the smaller side.
+        for a in range(1, 61):
+            for b in range(a, 61):
+                r = RectSides(a, b)
+                p = r.perimeter()
+                scan = [
+                    RectSides(x, p // x)
+                    for x in range(1, isqrt(p) + 1)
+                    if p % x == 0 and 2 * (x + p // x) == r.area()
+                ]
+                assert _partner_quadratic(r) == (scan[0] if scan else None), r
 
     def test_self_partnered_shapes_excluded(self):
         assert _partner_quadratic(RectSides(4, 4)) == RectSides(4, 4)

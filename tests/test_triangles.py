@@ -77,11 +77,24 @@ class TestHeron:
         assert as_heronian(TriangleSides(2, 3, 4)) is None  # 16*Area^2 = 135
 
     def test_quarter_integer_area_rejected(self):
-        # odd perimeter makes the Heron product odd; even if it were a perfect
-        # square the area would be a quarter-integer, never an integer
+        # at odd perimeter the four Heron factors are odd and sum to 2 (mod 4),
+        # so their product is 3 (mod 4) and never a square
         t = TriangleSides(1, 1, 1)
         assert t.perimeter() % 2 == 1
         assert as_heronian(t) is None
+
+    def test_odd_perimeter_product_is_never_square(self):
+        # why as_heronian needs no test that the root is divisible by 4: a
+        # square is 0 or 1 (mod 4)
+        odd = 0
+        for a in range(1, 101):
+            for b in range(a, (301 - a) // 2 + 1):
+                for c in range(b + (a + 1) % 2, min(a + b - 1, 301 - a - b) + 1, 2):
+                    p = a + b + c
+                    v = p * (-a + b + c) * (a - b + c) * (a + b - c)
+                    assert v % 4 == 3, (a, b, c)
+                    odd += 1
+        assert odd == 98500  # every triangle with odd perimeter <= 301
 
     def test_certificate_checked(self):
         with pytest.raises(ValueError):
