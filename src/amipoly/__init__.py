@@ -1,36 +1,4 @@
-"""Amicable and equable polygons on the integer lattice, in exact arithmetic."""
+"""Amicable and equable polygons on the integer lattice, in exact arithmetic.
 
-from .lattice import (
-    LatticePoint,
-    LatticePolygon,
-    RadicalSum,
-    boundary_point_count,
-    integer_side_lengths,
-    interior_point_count,
-    is_perfect_square,
-    radical_sum_is_rational,
-    squared_side_lengths,
-    twice_area,
-)
-from .matching import SearchReport, ShapeFingerprint, ShapeRecord, match_amicable
-from .rectangles import (
-    RectAmicablePair,
-    RectSides,
-    brute_force_pairs,
-    enumerate_by_divisors,
-    equable_rectangles,
-    partner_closed_form,
-    perimeter_dominant,
-)
-from .triangles import (
-    HeronianTriangle,
-    TriangleEmbedding,
-    TriangleSides,
-    as_heronian,
-    embed_triangle,
-    enumerate_heronian,
-    find_amicable_triangle_pairs,
-    find_equable_triangles,
-)
-
-__version__ = "0.1.0"
+Each name is imported from its own module; the version is pyproject.toml's.
+"""

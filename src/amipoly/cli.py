@@ -26,7 +26,8 @@ import sys
 
 from . import rectangles, triangles
 from .matching import (
-    FAMILIES, VERIFICATION_CHECKS, SearchReport, ShapeRecord, assemble_report, rect_count
+    FAMILIES, VERIFICATION_CHECKS, CertificateError, SearchReport, ShapeRecord, assemble_report,
+    rect_count,
 )
 from .triangles import TriangleSides
 
@@ -370,7 +371,11 @@ def main(argv=None) -> int:
         usage = [line for line in USAGE if line.startswith(prefix)] or USAGE
         print("usage: " + "\n       ".join(usage) + f"\nerror: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    code, payload, rows, lines = handler(*args)
+    try:
+        code, payload, rows, lines = handler(*args)
+    except CertificateError as exc:  # a result that fails its own certificate
+        print(f"verification failed: {exc}", file=sys.stderr)
+        return EXIT_VERIFY_FAILED
     if fmt == "json":
         _print_json(payload)
     elif fmt == "csv":

@@ -22,9 +22,7 @@ __all__ = [
     "boundary_point_count",
     "interior_point_count",
     "squared_side_lengths",
-    "integer_side_lengths",
     "radical_sum_is_rational",
-    "rational_radical_value",
     "two_radical_sum_is_rational",
     "three_radical_sum_is_rational",
 ]
@@ -109,9 +107,6 @@ class LatticePoint(Record):
         self._store("x", x)
         self._store("y", y)
 
-    def __add__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(self.x + other.x, self.y + other.y)
-
     def __sub__(self, other: "LatticePoint") -> "LatticePoint":
         return LatticePoint(self.x - other.x, self.y - other.y)
 
@@ -194,16 +189,6 @@ def interior_point_count(poly: LatticePolygon) -> int:
     return (doubled - boundary_point_count(poly) + 2) // 2
 
 
-def integer_side_lengths(poly: LatticePolygon) -> list[int] | None:
-    """The side lengths in edge order if every one is an integer, else None."""
-    out = []
-    for sq in squared_side_lengths(poly):
-        if not is_perfect_square(sq):
-            return None
-        out.append(isqrt(sq))
-    return out
-
-
 def _require_positive_radicand(n: int):
     if type(n) is not int or n < 1:
         raise ValueError(f"radicand must be a positive integer, got {n!r}")
@@ -234,13 +219,6 @@ class RadicalSum(Record):
 def radical_sum_is_rational(r: RadicalSum) -> bool:
     """True iff the represented value is rational (every radicand a perfect square)."""
     return all(is_perfect_square(a) for a in r.radicands)
-
-
-def rational_radical_value(r: RadicalSum) -> int | None:
-    """The integer value of the sum when rational, else None."""
-    if not radical_sum_is_rational(r):
-        return None
-    return sum(isqrt(a) for a in r.radicands)
 
 
 def two_radical_sum_is_rational(x: int, y: int) -> bool:

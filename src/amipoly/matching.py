@@ -52,7 +52,7 @@ VERIFICATION_CHECKS = (
 
 
 class CertificateError(ValueError):
-    """A pair or shape certificate failed re-verification."""
+    """A pair or shape certificate did not hold when re-checked."""
 
 
 class ShapeFingerprint(Record):

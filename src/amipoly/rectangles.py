@@ -19,7 +19,6 @@ __all__ = [
     "perimeter_dominant",
     "small_side_candidates",
     "solve_partner",
-    "partner_closed_form",
     "enumerate_by_divisors",
     "brute_force_pairs",
     "equable_rectangles",
@@ -144,8 +143,9 @@ def solve_partner(a: int, x: int) -> PartnerSolution:
 
         b = (2*x*x + 4*a) / (a*x - 4),   y = (2*a*a + 4*x) / (a*x - 4),
 
-    which is accepted only if both values are positive integers and the
-    original equations re-verify exactly.
+    which is accepted only if both values are positive integers.  Those
+    satisfy both equations whenever the determinant is nonzero, so they need
+    no re-check.
     """
     if a < 1 or x < 1:
         raise ValueError("side lengths must be positive integers")
@@ -160,17 +160,7 @@ def solve_partner(a: int, x: int) -> PartnerSolution:
     y = y_num // det
     if b < 1 or y < 1:
         return PartnerSolution("non-positive")
-    if a * b != 2 * (x + y) or 2 * (a + b) != x * y:
-        raise AssertionError(f"closed form failed re-verification for a={a}, x={x}")
     return PartnerSolution("solved", b=b, y=y)
-
-
-def partner_closed_form(a: int, x: int) -> tuple[int, int] | None:
-    """(b, y) completing a and x to an amicable configuration, or None."""
-    sol = solve_partner(a, x)
-    if not sol.solved:
-        return None
-    return sol.b, sol.y
 
 
 def _divisors(n: int) -> list[int]:
@@ -181,18 +171,17 @@ def enumerate_by_divisors() -> list[RectAmicablePair]:
     """All amicable rectangle pairs, by divisor case analysis on the short side.
 
     With a = 1 the integrality of y forces x - 4 to divide 18; with a = 2 it
-    forces x - 2 to divide 8.  Mirrored divisors produce the same unordered
-    pair and are removed by canonicalisation.
+    forces x - 2 to divide 8.  Every divisor d solves: a = 1 gives
+    y = 4 + 18/d and b = 2d + 16 + 36/d, and a = 2 gives y = 2 + 8/d and
+    b = d + 4 + 8/d.  Mirrored divisors produce the same unordered pair and
+    are removed by canonicalisation.
     """
     pairs = set()
     for a, shift, modulus in ((1, 4, 18), (2, 2, 8)):
         for d in _divisors(modulus):
             x = d + shift
-            sol = partner_closed_form(a, x)
-            if sol is None:
-                continue
-            b, y = sol
-            pairs.add(RectAmicablePair.of(RectSides.of(a, b), RectSides.of(x, y)))
+            sol = solve_partner(a, x)
+            pairs.add(RectAmicablePair.of(RectSides.of(a, sol.b), RectSides.of(x, sol.y)))
     return sorted(pairs)
 
 

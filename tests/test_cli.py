@@ -11,6 +11,7 @@ import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly.cli import main
 from amipoly.matching import report_from_dict
+from amipoly.triangles import TriangleSides
 
 from test_golden import GOLDEN
 
@@ -243,6 +244,18 @@ class TestVerifyAll:
         _, out1, _ = run_cli(capsys, "verify", "all", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "all", "--format", "json")
         assert out1 == out2
+
+
+@pytest.mark.parametrize("fmt", ["table", "json", "csv"])
+@pytest.mark.parametrize("command", [["verify", "all"], ["tri", "search"]], ids=" ".join)
+def test_failed_certificate_exits_three(capsys, monkeypatch, command, fmt):
+    """A result that fails its own certificate is reported on stderr, not as a traceback."""
+    bad = tuple(tri_mod.as_heronian(TriangleSides(*s)) for s in ((3, 4, 5), (6, 8, 10)))
+    monkeypatch.setattr(tri_mod, "match_amicable_triangles", lambda found: [bad])
+    code, out, err = run_cli(capsys, *command, "--format", fmt)
+    assert code == 3
+    assert out == ""
+    assert err == "verification failed: cross equalities fail: 3x4x5 vs 6x8x10\n"
 
 
 class TestSingleEnumeration:

@@ -11,7 +11,6 @@ from amipoly.rectangles import (
     brute_force_pairs,
     enumerate_by_divisors,
     equable_rectangles,
-    partner_closed_form,
     perimeter_dominant,
     small_side_candidates,
     solve_partner,
@@ -121,7 +120,8 @@ class TestClosedForm:
         ],
     )
     def test_examples(self, a, x, expected):
-        assert partner_closed_form(a, x) == expected
+        sol = solve_partner(a, x)
+        assert ((sol.b, sol.y) if sol.solved else None) == expected
 
     def test_statuses(self):
         assert solve_partner(1, 4) == PartnerSolution("singular")
@@ -134,16 +134,35 @@ class TestClosedForm:
             solve_partner(0, 5)
 
     def test_divisor_branch_raw_values(self):
-        # a = 1: x - 4 runs over the divisors of 18
-        xs = [5, 6, 7, 10, 13, 22]
-        got = [partner_closed_form(1, x) for x in xs]
-        assert [g[1] for g in got] == [22, 13, 10, 7, 6, 5]
-        assert [g[0] for g in got] == [54, 38, 34, 34, 38, 54]
-        # a = 2: x - 2 runs over the divisors of 8
-        xs = [3, 4, 6, 10]
-        got = [partner_closed_form(2, x) for x in xs]
-        assert [g[1] for g in got] == [10, 6, 4, 3]
-        assert [g[0] for g in got] == [13, 10, 10, 13]
+        # every divisor case solves, so enumerate_by_divisors skips none
+        # a = 1: d = x - 4 runs over the divisors of 18
+        ds = [1, 2, 3, 6, 9, 18]
+        got = [solve_partner(1, d + 4) for d in ds]
+        assert [g.y for g in got] == [22, 13, 10, 7, 6, 5] == [4 + 18 // d for d in ds]
+        assert [g.b for g in got] == [54, 38, 34, 34, 38, 54] == [2 * d + 16 + 36 // d for d in ds]
+        # a = 2: d = x - 2 runs over the divisors of 8
+        ds = [1, 2, 4, 8]
+        got = [solve_partner(2, d + 2) for d in ds]
+        assert [g.y for g in got] == [10, 6, 4, 3] == [2 + 8 // d for d in ds]
+        assert [g.b for g in got] == [13, 10, 10, 13] == [d + 4 + 8 // d for d in ds]
+
+    def test_solved_exactly_when_cramer_gives_positive_integers(self):
+        # solve_partner re-checks nothing: Cramer's values satisfy both
+        # equations identically, so a positive integer pair is a solution
+        for a in range(1, 101):
+            for x in range(1, 101):
+                sol = solve_partner(a, x)
+                det = a * x - 4
+                if det == 0:
+                    assert sol.status == "singular"
+                    continue
+                b = Fraction(2 * x * x + 4 * a, det)
+                y = Fraction(2 * a * a + 4 * x, det)
+                cramer_ok = all(v.denominator == 1 and v > 0 for v in (b, y))
+                assert sol.solved == cramer_ok
+                if sol.solved:
+                    assert (sol.b, sol.y) == (b, y)
+                    assert a * sol.b == 2 * (x + sol.y) and 2 * (a + sol.b) == x * sol.y
 
     def test_y_formula_matches_specialisations_exactly(self):
         # the Cramer expression (2a^2+4x)/(ax-4) agrees with the single-short-
@@ -159,7 +178,8 @@ class TestClosedForm:
         # defining equations; the Cramer value is the one that re-verifies.
         a, x = 1, 5
         variant_y = (4 * x + 4 * a) // (a * x - 4)
-        b, y = partner_closed_form(a, x)
+        sol = solve_partner(a, x)
+        b, y = sol.b, sol.y
         assert (b, y) == (54, 22)
         assert variant_y == 24
         assert a * b == 2 * (x + y) and 2 * (a + b) == x * y

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from amipoly.lattice import LatticePoint, integer_side_lengths
+from amipoly.lattice import LatticePoint, squared_side_lengths
 from amipoly.triangles import (
     HeronianTriangle,
     TriangleSides,
@@ -250,9 +250,8 @@ class TestEmbedding:
     def test_embedding_realises_integer_sides(self):
         for h in enumerate_heronian(60):
             emb = embed_triangle(h)
-            sides = integer_side_lengths(emb.as_polygon())
-            assert sides is not None
-            assert sorted(sides) == list(h.sides.as_tuple())
+            squared = squared_side_lengths(emb.as_polygon())
+            assert sorted(squared) == [s * s for s in h.sides.as_tuple()]
 
     @pytest.mark.parametrize("sides", EMBEDDING_CASES, ids=str)
     def test_equals_canonical_pairwise_scan(self, sides):
