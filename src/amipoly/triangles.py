@@ -1,16 +1,20 @@
 """Triangles with integer sides and integer area, and their lattice placements.
 
-Enumeration scans canonical side triples of even perimeter in plain
-integers, keeps the ones whose 16*Area^2 is a perfect square, and matches
-amicable partners by an (area, perimeter) fingerprint join.  Lattice
-embeddings come from the Gaussian factorisation of the longest side: each
-lattice point at distance c from the origin fixes the third vertex up to a
-reflection, and it is kept when its coordinates are integers.
+Enumeration walks the tangent lengths x <= y <= z (the semiperimeter s
+less each side), where Heron reads Area^2 = s*x*y*z: for each s and least
+length x it writes s*x = m*j^2 with m squarefree, and the area is an
+integer exactly when y*z = m*t^2, which one isqrt per t decides.  The
+walk's work grows about as the square of the perimeter, where a scan over
+side triples grows as its cube.  Amicable partners are matched by an
+(area, perimeter) fingerprint join.  Lattice embeddings come from the
+Gaussian factorisation of the longest side: each lattice point at distance
+c from the origin fixes the third vertex up to a reflection, and it is kept
+when its coordinates are integers.
 """
 
 from __future__ import annotations
 
-from math import isqrt
+from math import gcd, isqrt
 
 from .lattice import (
     LatticePoint, LatticePolygon, Record, is_perfect_square, squared_side_lengths, twice_area
@@ -97,31 +101,55 @@ def as_heronian(t: TriangleSides) -> HeronianTriangle | None:
     return HeronianTriangle(t, root // 4)
 
 
+def _square_classes(n_max: int) -> list[tuple[int, int]]:
+    """(m, k) with n = m * k^2 and m squarefree, for each 0 <= n <= n_max.
+
+    k^2 is the largest square dividing n: a sieve over k = 2, 3, ... marks
+    every multiple of k^2, so the last mark on n is its largest square
+    divisor.  m is then n divided by it, the squarefree part of n.
+    """
+    largest = [1] * (n_max + 1)
+    k = 2
+    while k * k <= n_max:
+        largest[k * k :: k * k] = [k] * (n_max // (k * k))
+        k += 1
+    return [(n // (k * k), k) for n, k in enumerate(largest)]
+
+
 def enumerate_heronian(max_perimeter: int) -> list[HeronianTriangle]:
     """All heronian triangles with perimeter <= max_perimeter, sorted by (perimeter, a, b).
 
-    The scan runs over plain integers and certifies a record only for hits.
-    With s = a + b and d = b - a, Heron's product is (s^2 - c^2)(c^2 - d^2);
-    the inner loop computes this factored form itself instead of calling
-    TriangleSides.sixteen_area_sq, because it is the scan's hot path.
-    c steps by 2 with the parity of s: an odd perimeter makes every factor
-    odd, so 16*Area^2 is odd and the area cannot be an integer.  At even
-    perimeter every factor is even, so a square product has a root divisible
-    by 4, and root // 4 is the area.
+    The walk runs over tangent lengths and certifies a record only for hits.
+    A heronian perimeter is even, so the semiperimeter s and the tangent
+    lengths x <= y <= z (s less each side, summing to s) are integers; the
+    sides are x + y, x + z and y + z, and Heron reads A^2 = s*x*y*z.  For
+    each s <= max_perimeter // 2 and x <= s // 3, write s*x = m*j^2 with m
+    squarefree, taken from the square classes of s and x: with s = ms*ks^2,
+    x = mx*kx^2 and g = gcd(ms, mx), m = ms*mx/g^2 and j = g*ks*kx.  Then A
+    is an integer exactly when y*z = m*t^2, and A = m*j*t.  With r = y + z
+    and u = z - y, that is r^2 - 4*m*t^2 = u^2, so u has the parity of r.
+    y*(r - y) grows with y up to r/2, so y >= x is m*t^2 >= x*(r - x), and
+    u >= 0 is 4*m*t^2 <= r^2: t runs between those bounds and one isqrt per
+    t tests for u.  Each triangle has one (s, x, t), so it is found once.
     """
     if max_perimeter < 3:
         raise ValueError(f"max_perimeter must be at least 3, got {max_perimeter}")
+    classes = _square_classes(max_perimeter // 2)
     found = []
-    for a in range(1, max_perimeter // 3 + 1):
-        for b in range(a, (max_perimeter - a) // 2 + 1):
-            s = a + b
-            s_sq, d_sq = s * s, (b - a) * (b - a)
-            for c in range(b + a % 2, min(s - 1, max_perimeter - s) + 1, 2):
-                c_sq = c * c
-                v = (s_sq - c_sq) * (c_sq - d_sq)
-                root = isqrt(v)
-                if root * root == v:
-                    found.append(HeronianTriangle(TriangleSides(a, b, c), root // 4))
+    for s in range(3, max_perimeter // 2 + 1):
+        ms, ks = classes[s]
+        for x in range(1, s // 3 + 1):
+            mx, kx = classes[x]
+            g = gcd(ms, mx)
+            m = ms * mx // (g * g)
+            r = s - x
+            r_sq, m4 = r * r, 4 * m
+            for t in range(isqrt((x * (r - x) - 1) // m) + 1, isqrt(r_sq // m4) + 1):
+                v = r_sq - m4 * t * t
+                u = isqrt(v)
+                if u * u == v:
+                    y = (r - u) // 2
+                    found.append(HeronianTriangle(TriangleSides(x + y, s - y, r), m * g * ks * kx * t))
     found.sort(key=lambda h: (h.perimeter(), h.sides.a, h.sides.b))
     return found
 

@@ -1,5 +1,6 @@
 import ast
 import itertools
+from math import isqrt
 from pathlib import Path
 
 import pytest
@@ -8,6 +9,7 @@ from amipoly.lattice import LatticePoint, squared_side_lengths
 from amipoly.triangles import (
     HeronianTriangle,
     TriangleSides,
+    _square_classes,
     as_heronian,
     embed_triangle,
     enumerate_heronian,
@@ -127,15 +129,37 @@ class TestEnumeration:
     def as_set(triangles):
         return {(*h.sides.as_tuple(), h.area) for h in triangles}
 
-    def test_equals_definitional_scan_up_to_60(self):
-        for p in range(3, 61):
+    def test_equals_definitional_scan_up_to_120(self):
+        for p in range(3, 121):
             assert self.as_set(enumerate_heronian(p)) == naive_heronian_triples(p), p
 
-    @pytest.mark.parametrize("max_perimeter", [200, 300])
+    @pytest.mark.parametrize("max_perimeter", [200, 300, 600])
     def test_equals_definitional_scan(self, max_perimeter):
         got = enumerate_heronian(max_perimeter)
         assert len(got) == len(self.as_set(got))
         assert self.as_set(got) == naive_heronian_triples(max_perimeter)
+
+    def test_square_classes_equal_definition(self):
+        # m is n divided by its largest square divisor k^2
+        classes = _square_classes(2000)
+        assert len(classes) == 2001
+        for n in range(1, 2001):
+            k = max(d for d in range(1, isqrt(n) + 1) if n % (d * d) == 0)
+            assert classes[n] == (n // (k * k), k), n
+
+    def test_isqrt_calls_grow_sub_cubically(self, monkeypatch):
+        # a count, not a time: the walk over tangent lengths makes 234,216
+        # isqrt calls at 1000, a scan over side triples 3,482,597
+        calls = 0
+
+        def counting_isqrt(n):
+            nonlocal calls
+            calls += 1
+            return isqrt(n)
+
+        monkeypatch.setattr("amipoly.triangles.isqrt", counting_isqrt)
+        assert len(enumerate_heronian(1000)) == 3946
+        assert calls < 400_000
 
 
 class TestAmicablePairs:
