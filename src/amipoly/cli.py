@@ -20,11 +20,10 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 result, 3 verification mismatch.
 """
 
-from __future__ import annotations
-
+import gc
 import sys
 
-from . import rectangles, triangles
+from . import lattice, rectangles, triangles
 from .matching import (
     FAMILIES, VERIFICATION_CHECKS, CertificateError, SearchReport, ShapeRecord, assemble_report,
     rect_count,
@@ -63,10 +62,28 @@ def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
 # --- output ----------------------------------------------------------------
 
 
-def _print_json(payload: dict):
-    import json  # only JSON output pays for the import
+def _json(value, indent: str = "") -> str:
+    """json.dumps(value, indent=2, sort_keys=True) for None, bools, ints, strs, lists
+    and dicts, without importing json.  Every str a payload holds is a program
+    constant that needs no escaping, so none is escaped."""
+    if value is None or isinstance(value, bool):
+        return "null" if value is None else "true" if value else "false"
+    if isinstance(value, str):
+        return f'"{value}"'
+    if isinstance(value, int):
+        return str(value)
+    if not value:
+        return "{}" if isinstance(value, dict) else "[]"
+    inner = indent + "  "
+    if isinstance(value, dict):
+        items = [f'"{key}": {_json(item, inner)}' for key, item in sorted(value.items())]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "}"
+    items = [_json(item, inner) for item in value]
+    return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
-    sys.stdout.write(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+
+def _print_json(payload: dict):
+    sys.stdout.write(_json(payload) + "\n")
 
 
 def _print_csv(rows):
@@ -254,6 +271,14 @@ def _verification_checks():
         embed_ok &= emb is not None and emb.twice_area() == 2 * sum(partner)
         embed_ok &= emb is not None and sorted(emb.squared_sides()) == sorted(s * s for s in sides)
 
+    # The search joined on Heron areas; here each found triangle's area is read
+    # off its lattice placement instead, and must equal its partner's perimeter.
+    cross_ok = all(
+        lattice.twice_area(triangles.embed_triangle(g).as_polygon()) == 2 * h.perimeter()
+        for pair in tri_pairs
+        for g, h in (pair, pair[::-1])
+    )
+
     # A pair's areas sum to its perimeters, so it always has a perimeter-dominant member.
     rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
     dominant = [r for r in rects_in_pairs if rectangles.perimeter_dominant(r)]
@@ -265,7 +290,7 @@ def _verification_checks():
         rect_pairs == oracle_pairs,
         tuple((a.sides, b.sides) for a, b in rect_records) == THE_FIVE_RECT_PAIRS,
         [(a.sides, b.sides) for a, b in tri_records] == [THE_TRIANGLE_PAIR],
-        all(a.area == b.perimeter() and b.area == a.perimeter() for a, b in tri_pairs),
+        cross_ok,
         embed_ok,
         {r.short for r in dominant} <= {1, 2}
         and rectangles.small_side_candidates(RECT_MAX_SIDE) == [1, 2],
@@ -386,4 +411,9 @@ def main(argv=None) -> int:
 
 
 def run():
-    sys.exit(main())
+    code = main()
+    # Move every live object to the permanent generation, so the collections
+    # at interpreter shutdown skip what start-up and the imports made.  Unlike
+    # os._exit, sys.exit still runs atexit handlers and flushes stdio.
+    gc.freeze()
+    sys.exit(code)

@@ -7,8 +7,6 @@ lengths are kept as squared lengths / radicands so that irrational values
 are never materialised as floats.
 """
 
-from __future__ import annotations
-
 import operator
 from math import gcd, isqrt
 

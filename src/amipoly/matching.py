@@ -8,8 +8,6 @@ back from JSON is reassembled and must serialize to exactly the input, so
 serialized results are never trusted blindly.
 """
 
-from __future__ import annotations
-
 from .lattice import Record
 from .rectangles import RectSides
 from .triangles import TriangleSides, as_heronian

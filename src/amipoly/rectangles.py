@@ -6,8 +6,6 @@ many divisor cases for short side 1 or 2, and is cross-checked by an
 exhaustive scan that uses nothing but the definition.
 """
 
-from __future__ import annotations
-
 from math import isqrt
 
 from .lattice import Record, is_perfect_square

@@ -12,8 +12,6 @@ c from the origin fixes the third vertex up to a reflection, and it is kept
 when its coordinates are integers.
 """
 
-from __future__ import annotations
-
 from math import gcd, isqrt
 
 from .lattice import (

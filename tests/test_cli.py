@@ -1,19 +1,23 @@
 import hashlib
 import json
 import os
+import string
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
+from amipoly import cli
 from amipoly.cli import main
 from amipoly.matching import report_from_dict
 from amipoly.triangles import TriangleSides
 
-from test_golden import GOLDEN
+from test_golden import GOLDEN, GOLDEN_NO_RESULT
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -240,6 +244,17 @@ class TestVerifyAll:
         failing = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
         assert failing == ["equable-triangles-recovered-and-excluded"]
 
+    def test_embedding_fault_fails_the_cross_check(self, capsys, monkeypatch):
+        """Place every triangle as 3x4x5: its shoelace area is no partner's
+        perimeter, which the embedding check of the known pair also sees."""
+        real, wrong = tri_mod.embed_triangle, tri_mod.as_heronian(TriangleSides(3, 4, 5))
+        monkeypatch.setattr(tri_mod, "embed_triangle", lambda t: real(wrong))
+        code, payload, err = run_json(capsys, "verify", "all", "--format", "json")
+        assert code == 3
+        failing = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
+        assert failing == ["tri-pair-cross-equalities", "embeddings-certify-both-triangles"]
+        assert err == "verification failed: " + ", ".join(failing) + "\n"
+
     def test_deterministic_json(self, capsys):
         _, out1, _ = run_cli(capsys, "verify", "all", "--format", "json")
         _, out2, _ = run_cli(capsys, "verify", "all", "--format", "json")
@@ -339,15 +354,44 @@ class TestUsageErrors:
 
 
 class TestProcessPath:
-    """`python -m amipoly`: __main__, then cli.run, which exits with main's code."""
+    """`python -m amipoly` (__main__, then cli.run) and `python -c` probes that
+    call cli.run, which freezes the collector and exits with main's code."""
 
-    def run(self, *argv):
+    def run(self, *argv, python=("-m", "amipoly")):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
-            [sys.executable, "-m", "amipoly", *argv],
+            [sys.executable, *python, *argv],
             env=dict(os.environ, PYTHONPATH=path),
             capture_output=True,
         )
+
+    def probe(self, setup, *argv):
+        """Run setup, then cli.run on argv, in a fresh `python -c`."""
+        script = f"import amipoly.cli, sys; {setup}; amipoly.cli.run()"
+        return self.run(*argv, python=("-c", script))
+
+    def test_run_keeps_atexit_handlers(self):
+        marker = "import atexit; atexit.register(sys.stderr.write, 'atexit ran')"
+        proc = self.probe(marker, "rect", "enumerate")
+        assert proc.returncode == 0
+        assert proc.stderr == b"atexit ran"
+
+    def test_run_verify_all_json(self):
+        proc = self.probe("pass", "verify", "all", "--format", "json")
+        assert proc.returncode == 0
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["verify all --format json"]
+
+    def test_run_no_solution_exits_two(self):
+        assert self.probe("pass", "rect", "solve", "-a", "2", "-x", "2").returncode == 2
+
+    def test_run_verification_fault_exits_three(self):
+        fault = (
+            "import amipoly.rectangles as r; real = r.enumerate_by_divisors; "
+            "r.enumerate_by_divisors = lambda: real()[:-1]"
+        )
+        proc = self.probe(fault, "verify", "all")
+        assert proc.returncode == 3
+        assert proc.stderr.startswith(b"verification failed: rect-divisor-enumeration-matches-oracle")
 
     def test_verify_all_json(self):
         proc = self.run("verify", "all", "--format", "json")
@@ -366,3 +410,57 @@ class TestProcessPath:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.startswith(b"usage: amipoly tri embed A B C")
+
+
+def _payload(argv):
+    handler, args, _ = cli._parse(argv)
+    return handler(*args)[1]
+
+
+def _strings(value):
+    if isinstance(value, str):
+        yield value
+    elif isinstance(value, dict):
+        for key, item in value.items():
+            yield key
+            yield from _strings(item)
+    elif isinstance(value, list):
+        for item in value:
+            yield from _strings(item)
+
+
+# Every golden argv without its --format, and the payloads with no pairs, with
+# nulls and of a triangle that is not heronian.
+EMITTER_ARGVS = sorted(
+    {command.partition(" --format")[0] for command in [*GOLDEN, *GOLDEN_NO_RESULT]}
+    | {"tri search --max-perimeter 3", "rect solve -a 2 -x 2", "tri embed 2 3 4"}
+)
+ascii_words = st.text(string.ascii_letters + string.digits + "-", max_size=10)
+big_ints = st.integers(min_value=2**64) | st.integers(max_value=-(2**64))
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | big_ints | ascii_words,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(ascii_words, inner, max_size=4),
+    max_leaves=30,
+)
+
+
+class TestJsonEmitter:
+    """cli's own JSON emitter writes what json.dumps(indent=2, sort_keys=True) would."""
+
+    def test_argvs_cover_every_command(self):
+        assert {tuple(argv.split()[:2]) for argv in EMITTER_ARGVS} == set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", EMITTER_ARGVS)
+    def test_payload_matches_json_dumps(self, argv):
+        payload = _payload(argv.split())
+        assert cli._json(payload) == json.dumps(payload, indent=2, sort_keys=True)
+
+    @pytest.mark.parametrize("argv", EMITTER_ARGVS)
+    def test_payload_strings_need_no_escaping(self, argv):
+        strings = list(_strings(_payload(argv.split())))
+        assert strings
+        assert all(json.dumps(s) == '"' + s + '"' for s in strings)
+
+    @given(json_values)
+    def test_nested_values_match_json_dumps(self, value):
+        assert cli._json(value) == json.dumps(value, indent=2, sort_keys=True)
