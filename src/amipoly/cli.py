@@ -23,14 +23,14 @@ result, 3 verification mismatch.
 import gc
 import sys
 
-from . import lattice, rectangles, triangles
+from . import rectangles, triangles
 from .matching import (
-    FAMILIES, VERIFICATION_CHECKS, CertificateError, SearchReport, ShapeRecord, assemble_report,
-    rect_count,
+    FAMILIES, RECT_MAX_SIDE, TRI_MAX_PERIMETER, VERIFICATION_CHECKS, CertificateError, SearchReport,
+    ShapeRecord, assemble_report, rect_count,
 )
 from .triangles import TriangleSides
 
-__all__ = ["RECT_MAX_SIDE", "TRI_MAX_PERIMETER", "main", "run"]
+__all__ = ["main", "run"]
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -38,11 +38,6 @@ EXIT_NO_RESULT = 2
 EXIT_VERIFY_FAILED = 3
 
 FORMATS = ("table", "json", "csv")
-
-
-# The one place default search bounds live; flags override per run.
-RECT_MAX_SIDE = 200
-TRI_MAX_PERIMETER = 120
 
 
 # --- record builders -------------------------------------------------------
@@ -252,6 +247,20 @@ THE_FIVE_RECT_PAIRS = (
 THE_TRIANGLE_PAIR = ((3, 25, 26), (9, 12, 15))
 
 
+def placed_amicably(pairs) -> bool:
+    """Each triangle of each pair, placed on the lattice, realises its own squared
+    sides, and its shoelace twice-area is twice its partner's perimeter.  An
+    embedding certifies the triangle it was handed, not the one asked for, so
+    the sides are compared here; the area is the placement's, not Heron's."""
+    for pair in pairs:
+        for g, h in (pair, pair[::-1]):
+            emb = triangles.embed_triangle(g)
+            squares = sorted(s * s for s in g.sides.as_tuple())
+            if sorted(emb.squared_sides()) != squares or emb.twice_area() != 2 * h.perimeter():
+                return False
+    return True
+
+
 def _verification_checks():
     """Run every consistency check; returns (checks, pair_records, shapes_scanned),
     with the checks named by VERIFICATION_CHECKS, in its order."""
@@ -262,22 +271,7 @@ def _verification_checks():
     tri_pairs = triangles.match_amicable_triangles(heronian)
     tri_records = _tri_pair_records(tri_pairs)
 
-    # Each triangle of the known pair, placed on the lattice, has twice its
-    # partner's perimeter as twice area and its own squared sides.
-    embed_ok = True
-    for sides, partner in (THE_TRIANGLE_PAIR, THE_TRIANGLE_PAIR[::-1]):
-        h = triangles.as_heronian(TriangleSides.of(*sides))
-        emb = None if h is None else triangles.embed_triangle(h)
-        embed_ok &= emb is not None and emb.twice_area() == 2 * sum(partner)
-        embed_ok &= emb is not None and sorted(emb.squared_sides()) == sorted(s * s for s in sides)
-
-    # The search joined on Heron areas; here each found triangle's area is read
-    # off its lattice placement instead, and must equal its partner's perimeter.
-    cross_ok = all(
-        lattice.twice_area(triangles.embed_triangle(g).as_polygon()) == 2 * h.perimeter()
-        for pair in tri_pairs
-        for g, h in (pair, pair[::-1])
-    )
+    known_pair = [triangles.as_heronian(TriangleSides.of(*sides)) for sides in THE_TRIANGLE_PAIR]
 
     # A pair's areas sum to its perimeters, so it always has a perimeter-dominant member.
     rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
@@ -290,8 +284,8 @@ def _verification_checks():
         rect_pairs == oracle_pairs,
         tuple((a.sides, b.sides) for a, b in rect_records) == THE_FIVE_RECT_PAIRS,
         [(a.sides, b.sides) for a, b in tri_records] == [THE_TRIANGLE_PAIR],
-        cross_ok,
-        embed_ok,
+        placed_amicably(tri_pairs),
+        None not in known_pair and placed_amicably([known_pair]),
         {r.short for r in dominant} <= {1, 2}
         and rectangles.small_side_candidates(RECT_MAX_SIDE) == [1, 2],
         [(r.short, r.long) for r in equable_rects] == [(3, 6), (4, 4)]

@@ -4,17 +4,19 @@ Shapes of any family reduce to (area, perimeter, shape_id) fingerprints;
 amicable pairs come out of a keyed join instead of a quadratic scan.
 A ShapeRecord works out its area and perimeter from its sides, reports
 re-verify every pair and listed shape when assembled, and a report read
-back from JSON is reassembled and must serialize to exactly the input, so
-serialized results are never trusted blindly.
+back from JSON is reassembled and must serialize to the input's JSON text,
+so serialized results are never trusted blindly.
 """
 
 from .lattice import Record
 from .rectangles import RectSides
-from .triangles import TriangleSides, as_heronian
+from .triangles import TriangleSides, as_heronian, enumerate_heronian
 
 __all__ = [
     "CertificateError",
     "FAMILIES",
+    "RECT_MAX_SIDE",
+    "TRI_MAX_PERIMETER",
     "VERIFICATION_CHECKS",
     "ShapeFingerprint",
     "ShapeRecord",
@@ -47,6 +49,10 @@ VERIFICATION_CHECKS = (
     "equable-rectangles-recovered-and-excluded",
     "equable-triangles-recovered-and-excluded",
 )
+# The bounds those checks run at: the rectangle oracle's greatest side and the
+# triangle search's greatest perimeter.  They are also the CLI's flag defaults.
+RECT_MAX_SIDE = 200
+TRI_MAX_PERIMETER = 120
 
 
 class CertificateError(ValueError):
@@ -215,7 +221,8 @@ def assemble_report(
     when that is None.  A pair that fails its cross equalities, a repeated
     pair or kept shape, a shape with the wrong side count for the family, a
     non-equable shape in an equable family, a shape beyond a non-null bound,
-    a bound below 1 or a bound on a verification report, or checks other
+    a bound that is not an int of at least 1 or a bound on a verification
+    report, a shapes_scanned that is not a non-negative int, or checks other
     than VERIFICATION_CHECKS on a verification report (none on any other
     family) aborts assembly.
     """
@@ -225,8 +232,10 @@ def assemble_report(
     if tuple(name for name, _ in checks) != (VERIFICATION_CHECKS if family == "verification" else ()):
         raise CertificateError(f"a {family} report does not carry its fixed list of checks")
     # A verification report mixes rectangles and triangles, whose bounds differ.
-    if bound is not None and (bound < 1 or family == "verification"):
-        raise CertificateError(f"a {family} report cannot have the bound {bound}")
+    if bound is not None and (type(bound) is not int or bound < 1 or family == "verification"):
+        raise CertificateError(f"a {family} report cannot have the bound {bound!r}")
+    if shapes_scanned is not None and (type(shapes_scanned) is not int or shapes_scanned < 0):
+        raise CertificateError(f"a shape count is a non-negative int, not {shapes_scanned!r}")
     if family == "rectangles":
         scanned = 0 if bound is None else rect_count(bound)
     elif equable:
@@ -262,50 +271,40 @@ def assemble_report(
     )
 
 
-def _exact_int(value, what: str) -> int:
-    """value itself when it is an int; bools, floats and strings are not read as one."""
-    if type(value) is not int:
-        raise CertificateError(f"{what} must be an integer, got {value!r}")
-    return value
-
-
-def _record_from_dict(d: dict) -> ShapeRecord:
-    """A listed shape, built from its sides; the area and perimeter stated must be its own."""
-    rec = ShapeRecord(tuple(d["sides"]))
-    area, perimeter = _exact_int(d["area"], "area"), _exact_int(d["perimeter"], "perimeter")
-    if area != rec.area or perimeter != rec.perimeter:
-        raise CertificateError(f"stated area or perimeter is not that of {rec.shape_id}: {d}")
-    return rec
-
-
 def report_from_dict(d: dict) -> SearchReport:
-    """Rebuild a SearchReport from its canonical dictionary by reassembling it.
+    """Rebuild a SearchReport from its shapes' sides with assemble_report, which
+    re-verifies every certificate, and require it to serialize to d's JSON text.
 
-    The records are passed through assemble_report, which re-verifies every
-    certificate, and the result must serialize back to exactly d: canonical
-    order, no repeats, no unknown keys.  Every number must already be an
-    int; a value that equals one, such as 34.0 or True, is rejected.  Any
+    That one type-strict comparison fixes order, repeats, keys, every area and
+    perimeter and every number's type (34.0 or true never stands for 34).  A
+    verification report's count is re-derived at its fixed bounds; a triangles
+    report's is not, as enumerating at a stated bound is unbounded work.  Any
     failure, malformed structure included, raises CertificateError.
     """
+    import json  # no command reads a report back, so no command loads json
+
     try:
-        family = d["family"]
-        bound = d["bound"]
-        shapes_scanned = _exact_int(d["shapes_scanned"], "shapes_scanned")
-        if shapes_scanned < 0:
-            raise CertificateError(f"shapes_scanned must be non-negative, got {shapes_scanned}")
         report = assemble_report(
-            family,
-            None if bound is None else _exact_int(bound, "bound"),
-            [_record_from_dict(entry) for entry in d.get("shapes", ())],
+            d["family"],
+            d["bound"],
+            [ShapeRecord(tuple(entry["sides"])) for entry in d.get("shapes", ())],
             [
-                (_record_from_dict(pair["first"]), _record_from_dict(pair["second"]))
-                for pair in d["pairs"]
+                (ShapeRecord(tuple(p["first"]["sides"])), ShapeRecord(tuple(p["second"]["sides"])))
+                for p in d["pairs"]
             ],
             checks=[(entry["name"], entry["status"] == "pass") for entry in d["checks"]],
-            shapes_scanned=shapes_scanned,
+            shapes_scanned=d["shapes_scanned"],
         )
+        text = json.dumps(report.to_canonical_dict(), sort_keys=True)
+        same = text == json.dumps(d, sort_keys=True)
     except (KeyError, TypeError, AttributeError, IndexError) as exc:
         raise CertificateError(f"malformed report: {exc!r}") from exc
-    if report.to_canonical_dict() != d:
+    if not same:
         raise CertificateError("report differs from the one assemble_report builds from it")
+    if report.family == "verification":
+        scanned = rect_count(RECT_MAX_SIDE) + len(enumerate_heronian(TRI_MAX_PERIMETER))
+        if report.shapes_scanned != scanned:
+            raise CertificateError(
+                f"a verification report scans {scanned} shapes, not {report.shapes_scanned}"
+            )
     return report

@@ -193,6 +193,78 @@ class TestEquableCommands:
         report_from_dict(payload)
 
 
+SIDES_3_25_26 = TriangleSides(3, 25, 26)
+
+
+def _place_as(asked: TriangleSides | None, placed: TriangleSides):
+    """An embed_triangle that places the triangle asked for (every one, for None) as placed."""
+    wrong = tri_mod.as_heronian(placed)
+    return lambda real: lambda t: real(wrong) if asked in (None, t.sides) else real(t)
+
+
+# The fault matrix of verify all: (id, patches, the checks that fail, in order).
+# Each patch is (module, name, make), and module.name becomes make(the real
+# function); cli and matching reach every patched name through its module,
+# except that matching keeps its own as_heronian, so ShapeRecord is unaffected.
+# No single fault fails tri-pair-cross-equalities alone: the one pair the
+# search finds is the known pair, so a fault that misplaces it fails
+# embeddings-certify-both-triangles too, and a pair whose cross equalities
+# fail is stopped by assemble_report (test_failed_certificate_exits_three).
+VERIFY_FAULTS = [
+    (
+        "oracle-drops-its-last-pair",
+        [(rect_mod, "brute_force_pairs", lambda real: lambda n: real(n)[:-1])],
+        ["rect-divisor-enumeration-matches-oracle"],
+    ),
+    (
+        "both-rectangle-paths-drop-their-last-pair",
+        [
+            (rect_mod, "enumerate_by_divisors", lambda real: lambda: real()[:-1]),
+            (rect_mod, "brute_force_pairs", lambda real: lambda n: real(n)[:-1]),
+        ],
+        ["rect-pairs-are-the-known-five"],
+    ),
+    (
+        # tri-pair-cross-equalities passes vacuously on no pairs.
+        "search-finds-no-pair",
+        [(tri_mod, "match_amicable_triangles", lambda real: lambda found: [])],
+        ["tri-search-finds-single-known-pair"],
+    ),
+    (
+        # Its shoelace area is no partner's perimeter.
+        "every-triangle-placed-as-3x4x5",
+        [(tri_mod, "embed_triangle", _place_as(None, TriangleSides(3, 4, 5)))],
+        ["tri-pair-cross-equalities", "embeddings-certify-both-triangles"],
+    ),
+    (
+        # 9x10x17 has area 36 too, so only its squared sides give it away.
+        "3x25x26-placed-as-9x10x17",
+        [(tri_mod, "embed_triangle", _place_as(SIDES_3_25_26, TriangleSides(9, 10, 17)))],
+        ["tri-pair-cross-equalities", "embeddings-certify-both-triangles"],
+    ),
+    (
+        "3x25x26-not-heronian",
+        [(tri_mod, "as_heronian", lambda real: lambda t: None if t == SIDES_3_25_26 else real(t))],
+        ["embeddings-certify-both-triangles"],
+    ),
+    (
+        "short-side-3-is-a-candidate",
+        [(rect_mod, "small_side_candidates", lambda real: lambda n: [1, 2, 3])],
+        ["dominant-member-short-side-is-1-or-2"],
+    ),
+    (
+        "no-equable-rectangles",
+        [(rect_mod, "equable_rectangles", lambda real: lambda n: [])],
+        ["equable-rectangles-recovered-and-excluded"],
+    ),
+    (
+        "closed-form-drops-its-last-equable-triangle",
+        [(tri_mod, "find_equable_triangles", lambda real: lambda n: real(n)[:-1])],
+        ["equable-triangles-recovered-and-excluded"],
+    ),
+]
+
+
 class TestVerifyAll:
     def test_all_checks_pass(self, capsys):
         code, payload, err = run_json(capsys, "verify", "all", "--format", "json")
@@ -235,24 +307,17 @@ class TestVerifyAll:
         assert "rect-divisor-enumeration-matches-oracle,fail" in rows
         assert "rect-pairs-are-the-known-five,fail" in rows
 
-    def test_equable_triangle_fault_fails_only_its_check(self, capsys, monkeypatch):
-        real = tri_mod.find_equable_triangles
-        monkeypatch.setattr(tri_mod, "find_equable_triangles", lambda n: real(n)[:-1])
+    @pytest.mark.parametrize(
+        "patches, failing",
+        [row[1:] for row in VERIFY_FAULTS],
+        ids=[row[0] for row in VERIFY_FAULTS],
+    )
+    def test_fault_fails_exactly_its_checks(self, capsys, monkeypatch, patches, failing):
+        for module, name, make in patches:
+            monkeypatch.setattr(module, name, make(getattr(module, name)))
         code, payload, err = run_json(capsys, "verify", "all", "--format", "json")
         assert code == 3
-        assert err == "verification failed: equable-triangles-recovered-and-excluded\n"
-        failing = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
-        assert failing == ["equable-triangles-recovered-and-excluded"]
-
-    def test_embedding_fault_fails_the_cross_check(self, capsys, monkeypatch):
-        """Place every triangle as 3x4x5: its shoelace area is no partner's
-        perimeter, which the embedding check of the known pair also sees."""
-        real, wrong = tri_mod.embed_triangle, tri_mod.as_heronian(TriangleSides(3, 4, 5))
-        monkeypatch.setattr(tri_mod, "embed_triangle", lambda t: real(wrong))
-        code, payload, err = run_json(capsys, "verify", "all", "--format", "json")
-        assert code == 3
-        failing = [c["name"] for c in payload["checks"] if c["status"] == "fail"]
-        assert failing == ["tri-pair-cross-equalities", "embeddings-certify-both-triangles"]
+        assert [c["name"] for c in payload["checks"] if c["status"] == "fail"] == failing
         assert err == "verification failed: " + ", ".join(failing) + "\n"
 
     def test_deterministic_json(self, capsys):

@@ -28,6 +28,7 @@ from _oracles import naive_amicable_scan, naive_heronian_triples
 
 MUTATED_COMMANDS = (
     "verify all --format json",
+    "tri search --max-perimeter 150 --format json",
     "tri equable --max-perimeter 200 --format json",
     "rect oracle --max-side 60 --format json",
 )
@@ -214,6 +215,16 @@ class TestAssembleReport:
         with pytest.raises(CertificateError):
             assemble_report("equable-rectangles", 10, [ShapeRecord((2, 3))], [])
 
+    @pytest.mark.parametrize("bound", [54.0, True])
+    def test_bound_must_be_an_int(self, bound):
+        with pytest.raises(CertificateError):
+            assemble_report("rectangles", bound, [], [])
+
+    @pytest.mark.parametrize("scanned", [7.0, True, -1])
+    def test_scan_count_must_be_a_non_negative_int(self, scanned):
+        with pytest.raises(CertificateError):
+            assemble_report("triangles", 10, [], [], shapes_scanned=scanned)
+
     def test_unknown_family_rejected(self):
         with pytest.raises(ValueError):
             assemble_report("hexagons", 10, [], [])
@@ -384,6 +395,24 @@ class TestRoundTrip:
         assert d["shapes_scanned"] == 60 * 61 // 2
         d["shapes_scanned"] = scanned
         with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize("scanned", [30.0, 154.0])
+    def test_triangles_scan_count_must_be_an_int(self, scanned):
+        """A triangles report passes its count through, so only its type is checked."""
+        d = canonical_report("tri search --max-perimeter 150 --format json")
+        assert d["shapes_scanned"] == 154
+        d["shapes_scanned"] = scanned
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize("scanned", [1, 20_204, 20_206])
+    def test_verification_scan_count_re_derived(self, scanned):
+        """rect_count(200) = 20,100 rectangles and 105 heronian triangles to perimeter 120."""
+        d = canonical_report("verify all --format json")
+        assert report_from_dict(d).shapes_scanned == 20_205
+        d["shapes_scanned"] = scanned
+        with pytest.raises(CertificateError, match="scans 20205 shapes"):
             report_from_dict(d)
 
     def test_exact_rectangles_report_scans_nothing(self):
