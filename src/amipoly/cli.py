@@ -22,11 +22,11 @@ result, 3 verification mismatch.
 
 import gc
 import sys
+from functools import partial
 
 from . import rectangles, triangles
 from .matching import (
-    FAMILIES, RECT_MAX_SIDE, TRI_MAX_PERIMETER, VERIFICATION_CHECKS, CertificateError, SearchReport,
-    ShapeRecord, assemble_report, rect_count,
+    FAMILIES, RECT_MAX_SIDE, TRI_MAX_PERIMETER, CertificateError, ShapeRecord, search_report,
 )
 from .triangles import TriangleSides
 
@@ -38,20 +38,6 @@ EXIT_NO_RESULT = 2
 EXIT_VERIFY_FAILED = 3
 
 FORMATS = ("table", "json", "csv")
-
-
-# --- record builders -------------------------------------------------------
-
-
-def _rect_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
-    return [
-        (ShapeRecord((p.first.short, p.first.long)), ShapeRecord((p.second.short, p.second.long)))
-        for p in pairs
-    ]
-
-
-def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
-    return [(ShapeRecord(a.sides.as_tuple()), ShapeRecord(b.sides.as_tuple())) for a, b in pairs]
 
 
 # --- output ----------------------------------------------------------------
@@ -86,9 +72,20 @@ def _print_csv(rows):
     sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
 
 
-def _report_output(report: SearchReport):
-    """The JSON payload, CSV rows and table lines of a report."""
-    n_sides, equable = FAMILIES[report.family]
+# --- subcommands ------------------------------------------------------------
+
+# Each handler returns (exit code, JSON payload, CSV rows, table lines); main
+# prints the one that --format names.
+
+
+def _search(family: str, bound: int | None = None):
+    """The handler of every report command: search_report's report in all three
+    forms, exiting 3 with a "verification failed:" line if any check fails."""
+    report = search_report(family, bound)
+    failing = [name for name, ok in report.checks if not ok]
+    if failing:
+        print("verification failed: " + ", ".join(failing), file=sys.stderr)
+    n_sides, equable, _ = FAMILIES[report.family]
     if n_sides is None:
         rows = [["check", "status"]]
         rows += [[name, "pass" if ok else "fail"] for name, ok in report.checks]
@@ -127,25 +124,7 @@ def _report_output(report: SearchReport):
         width = max(len(name) for name, _ in report.checks) + 2
         lines += ["", *(f"{name:<{width}}{'pass' if ok else 'FAIL'}" for name, ok in report.checks)]
         lines += ["", f"{len(report.pairs)} amicable pairs total"]
-    return report.to_canonical_dict(), rows, lines
-
-
-# --- subcommands ------------------------------------------------------------
-
-# Each handler returns (exit code, JSON payload, CSV rows, table lines); main
-# prints the one that --format names.
-
-
-def cmd_rect_enumerate():
-    pairs = rectangles.enumerate_by_divisors()
-    report = assemble_report("rectangles", None, [], _rect_pair_records(pairs))
-    return EXIT_OK, *_report_output(report)
-
-
-def cmd_rect_oracle(max_side: int):
-    pairs = rectangles.brute_force_pairs(max_side)
-    report = assemble_report("rectangles", max_side, [], _rect_pair_records(pairs))
-    return EXIT_OK, *_report_output(report)
+    return EXIT_VERIFY_FAILED if failing else EXIT_OK, report.to_canonical_dict(), rows, lines
 
 
 def cmd_rect_solve(a: int, x: int):
@@ -168,15 +147,6 @@ def cmd_rect_solve(a: int, x: int):
     row = [a, x, payload["status"], payload["reason"] or "", payload.get("b", ""), payload.get("y", "")]
     code = EXIT_OK if sol.solved else EXIT_NO_RESULT
     return code, payload, [["a", "x", "status", "reason", "b", "y"], row], [line]
-
-
-def cmd_tri_search(max_perimeter: int):
-    found = triangles.enumerate_heronian(max_perimeter)
-    pairs = triangles.match_amicable_triangles(found)
-    report = assemble_report(
-        "triangles", max_perimeter, [], _tri_pair_records(pairs), shapes_scanned=len(found)
-    )
-    return EXIT_OK, *_report_output(report)
 
 
 def cmd_tri_embed(sides: TriangleSides):
@@ -216,114 +186,25 @@ def cmd_tri_embed(sides: TriangleSides):
     return EXIT_OK, payload, rows, lines
 
 
-def _equable_report(family: str, bound: int, records: list[ShapeRecord]):
-    """Report equable shapes.  Two of them are never amicable: that would take
-    equal area = perimeter values, and the closed forms give distinct ones
-    (16 and 18 for rectangles; 24, 30, 36, 42 and 60 for triangles)."""
-    return EXIT_OK, *_report_output(assemble_report(family, bound, records, []))
-
-
-def cmd_tri_equable(max_perimeter: int):
-    found = triangles.find_equable_triangles(max_perimeter)
-    records = [ShapeRecord(h.sides.as_tuple()) for h in found]
-    return _equable_report("equable-triangles", max_perimeter, records)
-
-
-def cmd_equable_rect(max_side: int):
-    found = rectangles.equable_rectangles(max_side)
-    records = [ShapeRecord((r.short, r.long)) for r in found]
-    return _equable_report("equable-rectangles", max_side, records)
-
-
-# --- verify all -------------------------------------------------------------
-
-THE_FIVE_RECT_PAIRS = (
-    ((1, 34), (7, 10)),
-    ((1, 38), (6, 13)),
-    ((1, 54), (5, 22)),
-    ((2, 10), (4, 6)),
-    ((2, 13), (3, 10)),
-)
-THE_TRIANGLE_PAIR = ((3, 25, 26), (9, 12, 15))
-
-
-def placed_amicably(pairs) -> bool:
-    """Each triangle of each pair, placed on the lattice, realises its own squared
-    sides, and its shoelace twice-area is twice its partner's perimeter.  An
-    embedding certifies the triangle it was handed, not the one asked for, so
-    the sides are compared here; the area is the placement's, not Heron's."""
-    for pair in pairs:
-        for g, h in (pair, pair[::-1]):
-            emb = triangles.embed_triangle(g)
-            squares = sorted(s * s for s in g.sides.as_tuple())
-            if sorted(emb.squared_sides()) != squares or emb.twice_area() != 2 * h.perimeter():
-                return False
-    return True
-
-
-def _verification_checks():
-    """Run every consistency check; returns (checks, pair_records, shapes_scanned),
-    with the checks named by VERIFICATION_CHECKS, in its order."""
-    rect_pairs = rectangles.enumerate_by_divisors()
-    oracle_pairs = rectangles.brute_force_pairs(RECT_MAX_SIDE)
-    rect_records = _rect_pair_records(rect_pairs)
-    heronian = triangles.enumerate_heronian(TRI_MAX_PERIMETER)
-    tri_pairs = triangles.match_amicable_triangles(heronian)
-    tri_records = _tri_pair_records(tri_pairs)
-
-    known_pair = [triangles.as_heronian(TriangleSides.of(*sides)) for sides in THE_TRIANGLE_PAIR]
-
-    # A pair's areas sum to its perimeters, so it always has a perimeter-dominant member.
-    rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
-    dominant = [r for r in rects_in_pairs if rectangles.perimeter_dominant(r)]
-    equable_rects = rectangles.equable_rectangles(RECT_MAX_SIDE)
-    equable_tris = [h for h in heronian if h.area == h.perimeter()]
-    tris_in_pairs = {h for pair in tri_pairs for h in pair}
-
-    results = (
-        rect_pairs == oracle_pairs,
-        tuple((a.sides, b.sides) for a, b in rect_records) == THE_FIVE_RECT_PAIRS,
-        [(a.sides, b.sides) for a, b in tri_records] == [THE_TRIANGLE_PAIR],
-        placed_amicably(tri_pairs),
-        None not in known_pair and placed_amicably([known_pair]),
-        {r.short for r in dominant} <= {1, 2}
-        and rectangles.small_side_candidates(RECT_MAX_SIDE) == [1, 2],
-        [(r.short, r.long) for r in equable_rects] == [(3, 6), (4, 4)]
-        and not rects_in_pairs.intersection(equable_rects),
-        equable_tris == triangles.find_equable_triangles(TRI_MAX_PERIMETER)
-        and not tris_in_pairs.intersection(equable_tris),
-    )
-    checks = list(zip(VERIFICATION_CHECKS, results, strict=True))
-    return checks, rect_records + tri_records, rect_count(RECT_MAX_SIDE) + len(heronian)
-
-
-def cmd_verify_all():
-    checks, pair_records, scanned = _verification_checks()
-    report = assemble_report(
-        "verification", None, [], pair_records, checks=tuple(checks), shapes_scanned=scanned
-    )
-    failing = [name for name, ok in checks if not ok]
-    if failing:
-        print("verification failed: " + ", ".join(failing), file=sys.stderr)
-    return EXIT_VERIFY_FAILED if failing else EXIT_OK, *_report_output(report)
-
-
 # --- argument parsing --------------------------------------------------------
 
 # (group, command) -> (handler, flags, number of positional ints); a flag maps to
 # its default, or to None when it is required.  Every command also takes --format,
 # which main applies.  Only tri embed takes ints, so _parse reads its three as one
 # TriangleSides, and a triple that is no triangle is a usage error.  The handler
-# gets those sides, then the flag values in table order.
+# gets those sides, then the flag values in table order.  A report command's
+# handler is _search with its family, so its one flag, if any, is the bound.
 COMMANDS = {
-    ("rect", "enumerate"): (cmd_rect_enumerate, {}, 0),
+    ("rect", "enumerate"): (partial(_search, "rectangles"), {}, 0),
     ("rect", "solve"): (cmd_rect_solve, {"-a": None, "-x": None}, 0),
-    ("rect", "oracle"): (cmd_rect_oracle, {"--max-side": RECT_MAX_SIDE}, 0),
-    ("tri", "search"): (cmd_tri_search, {"--max-perimeter": TRI_MAX_PERIMETER}, 0),
+    ("rect", "oracle"): (partial(_search, "rectangles"), {"--max-side": RECT_MAX_SIDE}, 0),
+    ("tri", "search"): (partial(_search, "triangles"), {"--max-perimeter": TRI_MAX_PERIMETER}, 0),
     ("tri", "embed"): (cmd_tri_embed, {}, 3),
-    ("tri", "equable"): (cmd_tri_equable, {"--max-perimeter": TRI_MAX_PERIMETER}, 0),
-    ("equable", "rect"): (cmd_equable_rect, {"--max-side": RECT_MAX_SIDE}, 0),
-    ("verify", "all"): (cmd_verify_all, {}, 0),
+    ("tri", "equable"): (
+        partial(_search, "equable-triangles"), {"--max-perimeter": TRI_MAX_PERIMETER}, 0
+    ),
+    ("equable", "rect"): (partial(_search, "equable-rectangles"), {"--max-side": RECT_MAX_SIDE}, 0),
+    ("verify", "all"): (partial(_search, "verification"), {}, 0),
 }
 # The least value of each int flag; the library functions keep their own checks.
 LEAST_VALUES = {"-a": 1, "-x": 1, "--max-side": 1, "--max-perimeter": 3}

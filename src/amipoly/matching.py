@@ -2,15 +2,21 @@
 
 Shapes of any family reduce to (area, perimeter, shape_id) fingerprints;
 amicable pairs come out of a keyed join instead of a quadratic scan.
-A ShapeRecord works out its area and perimeter from its sides, reports
-re-verify every pair and listed shape when assembled, and a report read
-back from JSON is reassembled and must serialize to the input's JSON text,
-so serialized results are never trusted blindly.
+A ShapeRecord works out its area and perimeter from its sides;
+search_report builds the report of every search, verify all's checks
+included; reports re-verify every pair and listed shape when assembled,
+and a report read back from JSON is reassembled and must serialize to the
+input's JSON text, so serialized results are never trusted blindly.
 """
 
+from . import rectangles, triangles
 from .lattice import Record
 from .rectangles import RectSides
-from .triangles import TriangleSides, as_heronian, enumerate_heronian
+# ShapeRecord keeps this binding of as_heronian, while the searches below call
+# rectangles.* and triangles.* through their modules.  So a fault patched into
+# a module (the VERIFY_FAULTS rows of tests/test_cli.py) reaches the searches
+# and checks but never the records every report is built from.
+from .triangles import TriangleSides, as_heronian
 
 __all__ = [
     "CertificateError",
@@ -24,17 +30,22 @@ __all__ = [
     "SearchReport",
     "rect_count",
     "assemble_report",
+    "placed_amicably",
+    "search_report",
     "report_from_dict",
 ]
 
 # Each family -> (the side count of every shape its report lists, whether those
-# shapes are equable).  A verification report lists rectangle and triangle pairs.
+# shapes are equable, whether its report may have a null bound).  A verification
+# report lists rectangle and triangle pairs.  Only two searches are exact, that
+# is bound-free: the rectangles' divisor enumeration and verify all, whose
+# checks run at fixed bounds.
 FAMILIES = {
-    "rectangles": (2, False),
-    "triangles": (3, False),
-    "equable-rectangles": (2, True),
-    "equable-triangles": (3, True),
-    "verification": (None, False),
+    "rectangles": (2, False, True),
+    "triangles": (3, False, False),
+    "equable-rectangles": (2, True, False),
+    "equable-triangles": (3, True, False),
+    "verification": (None, False, True),
 }
 
 
@@ -53,6 +64,15 @@ VERIFICATION_CHECKS = (
 # triangle search's greatest perimeter.  They are also the CLI's flag defaults.
 RECT_MAX_SIDE = 200
 TRI_MAX_PERIMETER = 120
+# The answers verify all checks the searches against.
+THE_FIVE_RECT_PAIRS = (
+    ((1, 34), (7, 10)),
+    ((1, 38), (6, 13)),
+    ((1, 54), (5, 22)),
+    ((2, 10), (4, 6)),
+    ((2, 13), (3, 10)),
+)
+THE_TRIANGLE_PAIR = ((3, 25, 26), (9, 12, 15))
 
 
 class CertificateError(ValueError):
@@ -117,7 +137,7 @@ def _check_shape(rec: ShapeRecord, family: str, bound: int | None):
     FAMILIES fixes the side count and whether area = perimeter; a non-null
     bound holds a rectangle's long side or a triangle's perimeter.
     """
-    n_sides, equable = FAMILIES[family]
+    n_sides, equable, _ = FAMILIES[family]
     if n_sides is not None and len(rec.sides) != n_sides:
         raise CertificateError(f"a {family} report cannot list {rec.shape_id}")
     if equable and rec.area != rec.perimeter:
@@ -221,18 +241,20 @@ def assemble_report(
     when that is None.  A pair that fails its cross equalities, a repeated
     pair or kept shape, a shape with the wrong side count for the family, a
     non-equable shape in an equable family, a shape beyond a non-null bound,
-    a bound that is not an int of at least 1 or a bound on a verification
-    report, a shapes_scanned that is not a non-negative int, or checks other
-    than VERIFICATION_CHECKS on a verification report (none on any other
-    family) aborts assembly.
+    a null bound on a family that FAMILIES marks as not exact, a bound that
+    is not an int of at least 1 or a bound on a verification report, a
+    shapes_scanned that is not a non-negative int, or checks other than
+    VERIFICATION_CHECKS on a verification report (none on any other family)
+    aborts assembly.
     """
     if family not in FAMILIES:
         raise CertificateError(f"unknown family: {family!r}")
-    equable = FAMILIES[family][1]
+    n_sides, equable, exact = FAMILIES[family]
     if tuple(name for name, _ in checks) != (VERIFICATION_CHECKS if family == "verification" else ()):
         raise CertificateError(f"a {family} report does not carry its fixed list of checks")
-    # A verification report mixes rectangles and triangles, whose bounds differ.
-    if bound is not None and (type(bound) is not int or bound < 1 or family == "verification"):
+    # A verification report has no side count: it mixes rectangles and
+    # triangles, whose bounds differ, so it takes no bound.
+    if not (exact if bound is None else type(bound) is int and bound >= 1 and n_sides is not None):
         raise CertificateError(f"a {family} report cannot have the bound {bound!r}")
     if shapes_scanned is not None and (type(shapes_scanned) is not int or shapes_scanned < 0):
         raise CertificateError(f"a shape count is a non-negative int, not {shapes_scanned!r}")
@@ -271,15 +293,106 @@ def assemble_report(
     )
 
 
+def _rect_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
+    return [
+        (ShapeRecord((p.first.short, p.first.long)), ShapeRecord((p.second.short, p.second.long)))
+        for p in pairs
+    ]
+
+
+def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
+    return [(ShapeRecord(a.sides.as_tuple()), ShapeRecord(b.sides.as_tuple())) for a, b in pairs]
+
+
+def placed_amicably(pairs) -> bool:
+    """Each triangle of each pair, placed on the lattice, realises its own squared
+    sides, and its shoelace twice-area is twice its partner's perimeter.  An
+    embedding certifies the triangle it was handed, not the one asked for, so
+    the sides are compared here; the area is the placement's, not Heron's."""
+    for pair in pairs:
+        for g, h in (pair, pair[::-1]):
+            emb = triangles.embed_triangle(g)
+            squares = sorted(s * s for s in g.sides.as_tuple())
+            if sorted(emb.squared_sides()) != squares or emb.twice_area() != 2 * h.perimeter():
+                return False
+    return True
+
+
+def _verification_checks():
+    """Run every consistency check; returns (pair_records, checks, shapes_scanned),
+    with the checks named by VERIFICATION_CHECKS, in its order."""
+    rect_pairs = rectangles.enumerate_by_divisors()
+    oracle_pairs = rectangles.brute_force_pairs(RECT_MAX_SIDE)
+    rect_records = _rect_pair_records(rect_pairs)
+    heronian = triangles.enumerate_heronian(TRI_MAX_PERIMETER)
+    tri_pairs = triangles.match_amicable_triangles(heronian)
+    tri_records = _tri_pair_records(tri_pairs)
+
+    known_pair = [triangles.as_heronian(TriangleSides.of(*sides)) for sides in THE_TRIANGLE_PAIR]
+
+    # A pair's areas sum to its perimeters, so it always has a perimeter-dominant member.
+    rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
+    dominant = [r for r in rects_in_pairs if rectangles.perimeter_dominant(r)]
+    equable_rects = rectangles.equable_rectangles(RECT_MAX_SIDE)
+    equable_tris = [h for h in heronian if h.area == h.perimeter()]
+    tris_in_pairs = {h for pair in tri_pairs for h in pair}
+
+    results = (
+        rect_pairs == oracle_pairs,
+        tuple((a.sides, b.sides) for a, b in rect_records) == THE_FIVE_RECT_PAIRS,
+        [(a.sides, b.sides) for a, b in tri_records] == [THE_TRIANGLE_PAIR],
+        placed_amicably(tri_pairs),
+        None not in known_pair and placed_amicably([known_pair]),
+        {r.short for r in dominant} <= {1, 2}
+        and rectangles.small_side_candidates(RECT_MAX_SIDE) == [1, 2],
+        [(r.short, r.long) for r in equable_rects] == [(3, 6), (4, 4)]
+        and not rects_in_pairs.intersection(equable_rects),
+        equable_tris == triangles.find_equable_triangles(TRI_MAX_PERIMETER)
+        and not tris_in_pairs.intersection(equable_tris),
+    )
+    checks = tuple(zip(VERIFICATION_CHECKS, results, strict=True))
+    return rect_records + tri_records, checks, rect_count(RECT_MAX_SIDE) + len(heronian)
+
+
+def search_report(family: str, bound: int | None) -> SearchReport:
+    """The report of one search, built by assemble_report.
+
+    A rectangles search with a null bound is the exact divisor enumeration
+    and one with a bound the brute-force oracle; a verification report runs
+    every check of VERIFICATION_CHECKS.  Equable reports list their shapes
+    and no pairs: two equable shapes are never amicable, as that would take
+    equal area = perimeter values, and the closed forms give distinct ones
+    (16 and 18 for rectangles; 24, 30, 36, 42 and 60 for triangles).  A
+    result that fails its own certificate raises CertificateError.
+    """
+    shapes, pairs, checks, scanned = [], [], (), None
+    if family == "verification":
+        pairs, checks, scanned = _verification_checks()
+    elif family == "rectangles":
+        pairs = _rect_pair_records(
+            rectangles.enumerate_by_divisors() if bound is None else rectangles.brute_force_pairs(bound)
+        )
+    elif family == "triangles":
+        found = triangles.enumerate_heronian(bound)
+        pairs, scanned = _tri_pair_records(triangles.match_amicable_triangles(found)), len(found)
+    elif family == "equable-triangles":
+        shapes = [ShapeRecord(h.sides.as_tuple()) for h in triangles.find_equable_triangles(bound)]
+    else:
+        shapes = [ShapeRecord((r.short, r.long)) for r in rectangles.equable_rectangles(bound)]
+    return assemble_report(family, bound, shapes, pairs, checks=checks, shapes_scanned=scanned)
+
+
 def report_from_dict(d: dict) -> SearchReport:
     """Rebuild a SearchReport from its shapes' sides with assemble_report, which
     re-verifies every certificate, and require it to serialize to d's JSON text.
 
     That one type-strict comparison fixes order, repeats, keys, every area and
     perimeter and every number's type (34.0 or true never stands for 34).  A
-    verification report's count is re-derived at its fixed bounds; a triangles
-    report's is not, as enumerating at a stated bound is unbounded work.  Any
-    failure, malformed structure included, raises CertificateError.
+    report with a null bound must also equal search_report's exact answer,
+    which runs in milliseconds; a bounded report runs no search, as searching
+    at a stated bound is unbounded work.  An equable report with its bound
+    moved by one reads back and is true: its closed form lists the same
+    shapes.  Any failure, malformed structure included, raises CertificateError.
     """
     import json  # no command reads a report back, so no command loads json
 
@@ -301,10 +414,11 @@ def report_from_dict(d: dict) -> SearchReport:
         raise CertificateError(f"malformed report: {exc!r}") from exc
     if not same:
         raise CertificateError("report differs from the one assemble_report builds from it")
-    if report.family == "verification":
-        scanned = rect_count(RECT_MAX_SIDE) + len(enumerate_heronian(TRI_MAX_PERIMETER))
-        if report.shapes_scanned != scanned:
+    if report.bound is None:
+        exact = search_report(report.family, None)
+        if report != exact:
             raise CertificateError(
-                f"a verification report scans {scanned} shapes, not {report.shapes_scanned}"
+                f"a {report.family} report with no bound must be the exact answer, which scans "
+                f"{exact.shapes_scanned} shapes and lists {len(exact.pairs)} pairs"
             )
     return report

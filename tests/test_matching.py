@@ -10,6 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amipoly.rectangles as rect_mod
+import amipoly.triangles as tri_mod
 from amipoly.cli import main
 from amipoly.matching import (
     CertificateError,
@@ -415,6 +417,63 @@ class TestRoundTrip:
         with pytest.raises(CertificateError, match="scans 20205 shapes"):
             report_from_dict(d)
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            "tri search --max-perimeter 150 --format json",
+            "tri equable --format json",
+            "equable rect --format json",
+        ],
+    )
+    def test_null_bound_only_on_exact_families(self, command):
+        """Only the rectangles' divisor enumeration and verify all are bound-free."""
+        d = canonical_report(command)
+        d["bound"] = None
+        with pytest.raises(CertificateError, match="cannot have the bound None"):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            *(("verify all", lambda d, i=i: d["pairs"].pop(i)) for i in range(6)),
+            ("verify all", lambda d: d["pairs"].clear()),
+            ("verify all", lambda d: d["checks"][0].update(status="fail")),
+            ("rect enumerate", lambda d: d["pairs"].pop(2)),
+            ("rect enumerate", lambda d: d["pairs"].clear()),
+        ],
+        ids=[*(f"verify-all-pair-{i}-deleted" for i in range(6)), "verify-all-no-pairs",
+             "verify-all-check-fails", "rect-enumerate-pair-deleted", "rect-enumerate-no-pairs"],
+    )
+    def test_bound_free_report_is_the_exact_answer(self, command, edit):
+        d = canonical_report(command + " --format json")
+        assert report_from_dict(d).to_canonical_dict() == d
+        edit(d)
+        with pytest.raises(CertificateError, match="no bound must be the exact answer"):
+            report_from_dict(d)
+
+    def test_read_back_searches_only_without_a_bound(self, monkeypatch):
+        """Reading back verify all enumerates once, at its fixed bound; a bounded
+        report runs no search, as its bound is untrusted."""
+        reports = {
+            command: canonical_report(command)
+            for command in (
+                "verify all --format json",
+                "tri search --max-perimeter 150 --format json",
+                "rect oracle --max-side 60 --format json",
+            )
+        }
+        calls = []
+        for module, name in ((tri_mod, "enumerate_heronian"), (rect_mod, "brute_force_pairs")):
+            real = getattr(module, name)
+            spy = lambda bound, name=name, real=real: calls.append((name, bound)) or real(bound)
+            monkeypatch.setattr(module, name, spy)
+        report_from_dict(reports.pop("verify all --format json"))
+        assert calls == [("brute_force_pairs", 200), ("enumerate_heronian", 120)]
+        calls.clear()
+        for d in reports.values():
+            report_from_dict(d)
+        assert calls == []
+
     def test_exact_rectangles_report_scans_nothing(self):
         d = canonical_report("rect enumerate --format json")
         assert d["bound"] is None and d["shapes_scanned"] == 0
@@ -481,6 +540,91 @@ class TestRoundTrip:
         except CertificateError:
             return
         assert report.to_canonical_dict() == d
+
+
+# The single-edit gate: every edit of one node of each command's JSON report.
+# A node is deleted; a non-empty list is emptied or its first item doubled;
+# an int is moved by 1 either way, set to 0, to its float or to null; a bool
+# is flipped, "x" is appended to a str and a null set to 1.  Each command
+# maps to its number of distinct edits (an edit that changes nothing is none).
+GATE_COMMANDS = {
+    "rect enumerate --format json": 295,
+    "rect oracle --max-side 60 --format json": 300,
+    "tri search --max-perimeter 150 --format json": 87,
+    "tri equable --format json": 189,
+    "equable rect --format json": 75,
+    "verify all --format json": 407,
+}
+ITEM_10 = "open: a bounded report's pairs are not re-derived (ROADMAP item 10)"
+ITEM_3 = "open: a triangles report's heronian count is not re-derived (ROADMAP item 3)"
+TRI_SEARCH = "tri search --max-perimeter 150 --format json"
+# The edits that still read back: (command, path, edit, why).  An edit is
+# "delete", "empty", "double" or the JSON text of the new value.  Adding a row
+# loosens the gate.
+READS_BACK = [
+    ("rect oracle --max-side 60 --format json", ("pairs",), "empty", ITEM_10),
+    *(("rect oracle --max-side 60 --format json", ("pairs", i), "delete", ITEM_10) for i in range(5)),
+    (TRI_SEARCH, ("bound",), "151", "true: no heronian triangle has an odd perimeter"),
+    (TRI_SEARCH, ("bound",), "149", ITEM_3),
+    *((TRI_SEARCH, ("shapes_scanned",), n, ITEM_3) for n in ("0", "153", "155")),
+    (TRI_SEARCH, ("pairs",), "empty", ITEM_10),
+    (TRI_SEARCH, ("pairs", 0), "delete", ITEM_10),
+    *(("tri equable --format json", ("bound",), n, "true: the closed form lists the same shapes")
+      for n in ("119", "121")),
+    *(("equable rect --format json", ("bound",), n, "true: the closed form lists the same shapes")
+      for n in ("199", "201")),
+]
+
+
+def single_edits(d: dict) -> dict:
+    """(path, edit) -> the edited copy of d, for every edit of every node below its root."""
+    edits = {}
+    for path in node_paths(d)[1:]:
+        parent = d
+        for key in path[:-1]:
+            parent = parent[key]
+        node = parent[path[-1]]
+        values = []
+        if isinstance(node, list) and node:
+            values += [("empty", []), ("double", [node[0], *node])]
+        if type(node) is int:
+            values += [(None, v) for v in (node + 1, node - 1, 0, float(node), None)]
+        elif type(node) is bool:
+            values.append((None, not node))
+        elif isinstance(node, str):
+            values.append((None, node + "x"))
+        elif node is None:
+            values.append((None, 1))
+        for edit, value in [("delete", DELETE), *values]:
+            edit = edit or json.dumps(value)
+            if edit == json.dumps(node) or (path, edit) in edits:
+                continue
+            edited = copy.deepcopy(d)
+            target = edited
+            for key in path[:-1]:
+                target = target[key]
+            if value is DELETE:
+                del target[path[-1]]
+            else:
+                target[path[-1]] = copy.deepcopy(value)
+            edits[path, edit] = edited
+    return edits
+
+
+@pytest.mark.parametrize("command", GATE_COMMANDS)
+def test_single_edit_rejected_unless_listed(command):
+    """Every single edit of a command's report raises CertificateError, except
+    those READS_BACK lists with the reason each still reads back."""
+    edits = single_edits(canonical_report(command))
+    assert len(edits) == GATE_COMMANDS[command]
+    read_back = set()
+    for key, edited in edits.items():
+        try:
+            report_from_dict(edited)
+        except CertificateError:
+            continue
+        read_back.add(key)
+    assert read_back == {(path, edit) for cmd, path, edit, _ in READS_BACK if cmd == command}
 
 
 @functools.cache
