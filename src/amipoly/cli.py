@@ -17,10 +17,11 @@ repeated flag takes its last value.  -h or --help prints this text.
 
 Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 1 usage or input error, 2 well-formed input with a negative mathematical
-result, 3 verification mismatch.
+result, 3 verification mismatch, 120 stdout could not be written.
 """
 
 import gc
+import os
 import sys
 from functools import partial
 
@@ -36,6 +37,7 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_RESULT = 2
 EXIT_VERIFY_FAILED = 3
+EXIT_WRITE_FAILED = 120  # CPython's own code for a failed flush at exit
 
 FORMATS = ("table", "json", "csv")
 
@@ -63,19 +65,10 @@ def _json(value, indent: str = "") -> str:
     return "[\n" + inner + (",\n" + inner).join(items) + "\n" + indent + "]"
 
 
-def _print_json(payload: dict):
-    sys.stdout.write(_json(payload) + "\n")
-
-
-def _print_csv(rows):
-    """Print rows of ints and fixed words, none of which holds a comma, quote or newline."""
-    sys.stdout.write("".join(",".join(map(str, row)) + "\n" for row in rows))
-
-
 # --- subcommands ------------------------------------------------------------
 
 # Each handler returns (exit code, JSON payload, CSV rows, table lines); main
-# prints the one that --format names.
+# writes the one that --format names.
 
 
 def _search(family: str, bound: int | None = None):
@@ -261,27 +254,35 @@ def _parse(argv: list[str]):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    if "-h" in argv or "--help" in argv:
-        sys.stdout.write(__doc__)
-        return EXIT_OK
+    code, text = EXIT_OK, __doc__
+    if "-h" not in argv and "--help" not in argv:
+        try:
+            handler, args, fmt = _parse(argv)
+        except ValueError as exc:
+            prefix = " ".join(["amipoly", *argv[:2], ""])
+            usage = [line for line in USAGE if line.startswith(prefix)] or USAGE
+            print("usage: " + "\n       ".join(usage) + f"\nerror: {exc}", file=sys.stderr)
+            return EXIT_USAGE
+        try:
+            code, payload, rows, lines = handler(*args)
+        except CertificateError as exc:  # a result that fails its own certificate
+            print(f"verification failed: {exc}", file=sys.stderr)
+            return EXIT_VERIFY_FAILED
+        if fmt == "json":
+            text = _json(payload) + "\n"
+        elif fmt == "csv":  # ints and fixed words, none holding a comma, quote or newline
+            text = "".join(",".join(map(str, row)) + "\n" for row in rows)
+        else:
+            text = "\n".join(lines) + "\n"
     try:
-        handler, args, fmt = _parse(argv)
-    except ValueError as exc:
-        prefix = " ".join(["amipoly", *argv[:2], ""])
-        usage = [line for line in USAGE if line.startswith(prefix)] or USAGE
-        print("usage: " + "\n       ".join(usage) + f"\nerror: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        code, payload, rows, lines = handler(*args)
-    except CertificateError as exc:  # a result that fails its own certificate
-        print(f"verification failed: {exc}", file=sys.stderr)
-        return EXIT_VERIFY_FAILED
-    if fmt == "json":
-        _print_json(payload)
-    elif fmt == "csv":
-        _print_csv(rows)
-    else:
-        print("\n".join(lines))
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write output: {exc}", file=sys.stderr)
+        # what stays buffered now goes to devnull, so the flush at exit cannot fail
+        with open(os.devnull, "wb") as devnull:
+            os.dup2(devnull.fileno(), sys.stdout.fileno())
+        return EXIT_WRITE_FAILED
     return code
 
 

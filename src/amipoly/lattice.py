@@ -86,9 +86,6 @@ class Record:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__name__}({fields})"
 
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, name) for name in self.__slots__)
-
 
 class LatticePoint(Record):
     """A point of the integer lattice.

@@ -120,9 +120,6 @@ class ShapeRecord(Record):
         self._store("area", area)
         self._store("perimeter", perimeter)
 
-    def __reduce__(self):
-        return ShapeRecord, (self.sides,)
-
     @property
     def shape_id(self) -> str:
         return "x".join(str(s) for s in self.sides)
@@ -383,42 +380,43 @@ def search_report(family: str, bound: int | None) -> SearchReport:
 
 
 def report_from_dict(d: dict) -> SearchReport:
-    """Rebuild a SearchReport from its shapes' sides with assemble_report, which
-    re-verifies every certificate, and require it to serialize to d's JSON text.
+    """Rebuild a SearchReport from d and require it to serialize to d's JSON text.
 
-    That one type-strict comparison fixes order, repeats, keys, every area and
-    perimeter and every number's type (34.0 or true never stands for 34).  A
-    report with a null bound must also equal search_report's exact answer,
-    which runs in milliseconds; a bounded report runs no search, as searching
-    at a stated bound is unbounded work.  An equable report with its bound
-    moved by one reads back and is true: its closed form lists the same
+    A null-bound report of a family FAMILIES marks as exact is rebuilt as
+    search_report's exact answer, which takes milliseconds; any other from its
+    shapes' sides by assemble_report, which re-verifies every certificate and
+    runs no search, as searching at a stated bound is unbounded work.  The one
+    type-strict comparison fixes order, repeats, keys, every area, perimeter and
+    number's type (34.0 or true never stands for 34).  An equable report with its
+    bound moved by one reads back and is true: its closed form lists the same
     shapes.  Any failure, malformed structure included, raises CertificateError.
     """
     import json  # no command reads a report back, so no command loads json
 
     try:
-        report = assemble_report(
-            d["family"],
-            d["bound"],
-            [ShapeRecord(tuple(entry["sides"])) for entry in d.get("shapes", ())],
-            [
-                (ShapeRecord(tuple(p["first"]["sides"])), ShapeRecord(tuple(p["second"]["sides"])))
-                for p in d["pairs"]
-            ],
-            checks=[(entry["name"], entry["status"] == "pass") for entry in d["checks"]],
-            shapes_scanned=d["shapes_scanned"],
-        )
-        text = json.dumps(report.to_canonical_dict(), sort_keys=True)
-        same = text == json.dumps(d, sort_keys=True)
+        exact = d["bound"] is None and d["family"] in FAMILIES and FAMILIES[d["family"]][2]
+        if exact:
+            report = search_report(d["family"], None)
+        else:
+            report = assemble_report(
+                d["family"],
+                d["bound"],
+                [ShapeRecord(tuple(entry["sides"])) for entry in d.get("shapes", ())],
+                [
+                    (ShapeRecord(tuple(p["first"]["sides"])), ShapeRecord(tuple(p["second"]["sides"])))
+                    for p in d["pairs"]
+                ],
+                checks=[(entry["name"], entry["status"] == "pass") for entry in d["checks"]],
+                shapes_scanned=d["shapes_scanned"],
+            )
+        same = json.dumps(report.to_canonical_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
     except (KeyError, TypeError, AttributeError, IndexError) as exc:
         raise CertificateError(f"malformed report: {exc!r}") from exc
-    if not same:
-        raise CertificateError("report differs from the one assemble_report builds from it")
-    if report.bound is None:
-        exact = search_report(report.family, None)
-        if report != exact:
-            raise CertificateError(
-                f"a {report.family} report with no bound must be the exact answer, which scans "
-                f"{exact.shapes_scanned} shapes and lists {len(exact.pairs)} pairs"
-            )
-    return report
+    if same:
+        return report
+    if exact:
+        raise CertificateError(
+            f"a {report.family} report with no bound must be the exact answer, which scans "
+            f"{report.shapes_scanned} shapes and lists {len(report.pairs)} pairs"
+        )
+    raise CertificateError("report differs from the one assemble_report builds from it")

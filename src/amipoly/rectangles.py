@@ -104,6 +104,10 @@ def small_side_candidates(max_side: int) -> list[int]:
         raise ValueError(f"max_side must be at least 4, got {max_side}")
     shorts = set()
     for a in range(1, max_side + 1):
+        if not perimeter_dominant(RectSides(a, a)):
+            # row a's least area - perimeter is its square's, a^2 - 4a (see below),
+            # which grows with a from a = 2 on: no later row holds a dominant one
+            break
         for b in range(a, max_side + 1):
             r = RectSides(a, b)
             if not perimeter_dominant(r):

@@ -422,12 +422,13 @@ class TestProcessPath:
     """`python -m amipoly` (__main__, then cli.run) and `python -c` probes that
     call cli.run, which freezes the collector and exits with main's code."""
 
-    def run(self, *argv, python=("-m", "amipoly")):
+    def run(self, *argv, python=("-m", "amipoly"), stdout=subprocess.PIPE, **env):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, *python, *argv],
-            env=dict(os.environ, PYTHONPATH=path),
-            capture_output=True,
+            env=dict(os.environ, PYTHONPATH=path, **env),
+            stdout=stdout,
+            stderr=subprocess.PIPE,
         )
 
     def probe(self, setup, *argv):
@@ -468,6 +469,20 @@ class TestProcessPath:
 
     def test_not_heronian_exits_two(self):
         assert self.run("tri", "embed", "2", "3", "4").returncode == 2
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    @pytest.mark.parametrize("argv", ["verify all --format json", "rect enumerate"])
+    def test_failed_write_exits_120(self, argv, unbuffered):
+        """A write to a full device fails in main's one write when stdout is
+        unbuffered, and in its flush when it is not (an empty value leaves it
+        buffered); either way one error line and CPython's own code, 120."""
+        with open("/dev/full", "wb") as full:
+            proc = self.run(*argv.split(), stdout=full, PYTHONUNBUFFERED=unbuffered)
+        assert proc.returncode == 120
+        assert b"Traceback" not in proc.stderr
+        (line,) = proc.stderr.decode().splitlines()
+        assert line.startswith("error: cannot write output: ")
 
     @pytest.mark.parametrize("sides", [["3", "4"], []], ids=["two ints", "no ints"])
     def test_missing_sides_get_a_usage_error(self, sides):

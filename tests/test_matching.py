@@ -3,13 +3,13 @@ import copy
 import functools
 import io
 import json
-import pickle
 import random
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import amipoly.matching as matching_mod
 import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly.cli import main
@@ -171,12 +171,6 @@ class TestShapeRecord:
         target["sides"] = list(sides)
         with pytest.raises(CertificateError):
             report_from_dict(d)
-
-    def test_pickle_and_copy_rebuild_from_sides(self):
-        for rec in (ShapeRecord((1, 34)), ShapeRecord((3, 25, 26))):
-            assert pickle.loads(pickle.dumps(rec)) == rec
-            assert copy.copy(rec) == rec
-            assert copy.deepcopy(rec) == rec
 
 
 class TestAssembleReport:
@@ -473,6 +467,19 @@ class TestRoundTrip:
         for d in reports.values():
             report_from_dict(d)
         assert calls == []
+
+    @pytest.mark.parametrize("command", ["verify all", "rect enumerate", "rect oracle --max-side 60"])
+    def test_read_back_assembles_once(self, monkeypatch, command):
+        """A bound-free report is rebuilt only as the exact answer and any other
+        only from its sides: one assemble_report call either way."""
+        d = canonical_report(command + " --format json")
+        calls = []
+        real = matching_mod.assemble_report
+        monkeypatch.setattr(
+            matching_mod, "assemble_report", lambda *a, **kw: calls.append(a[0]) or real(*a, **kw)
+        )
+        assert report_from_dict(d).to_canonical_dict() == d
+        assert calls == [d["family"]]
 
     def test_exact_rectangles_report_scans_nothing(self):
         d = canonical_report("rect enumerate --format json")

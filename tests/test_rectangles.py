@@ -3,6 +3,7 @@ from math import isqrt
 
 import pytest
 
+import amipoly.rectangles as rect_mod
 from amipoly.rectangles import (
     PartnerSolution,
     RectAmicablePair,
@@ -68,6 +69,16 @@ class TestSmallSideCandidates:
     @pytest.mark.parametrize("max_side", [*range(4, 121), 300])
     def test_equals_full_scan(self, max_side):
         assert small_side_candidates(max_side) == naive_small_side_candidates(max_side)
+
+    def test_stops_at_the_first_square_that_is_not_dominant(self, monkeypatch):
+        """Rows 1 and 2 are dominant to the end, rows 3 and 4 stop at their own
+        break, and no row from 5 on is scanned: a square's a^2 - 4a grows with a."""
+        calls = []
+        real = rect_mod.perimeter_dominant
+        monkeypatch.setattr(rect_mod, "perimeter_dominant", lambda r: calls.append(r) or real(r))
+        assert small_side_candidates(200) == [1, 2]
+        assert len(calls) <= 2 * 200 + 20
+        assert max(r.short for r in calls) == 5
 
     def test_odd_area_has_no_partner(self):
         # odd area can never equal an (even) partner perimeter
