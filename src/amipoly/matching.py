@@ -5,8 +5,9 @@ amicable pairs come out of a keyed join instead of a quadratic scan.
 A ShapeRecord works out its area and perimeter from its sides;
 search_report builds the report of every search, verify all's checks
 included; reports re-verify every pair and listed shape when assembled,
-and a report read back from JSON is reassembled and must serialize to the
-input's JSON text, so serialized results are never trusted blindly.
+and a report read back from JSON is rebuilt by its own search and must
+serialize to the input's JSON text, so serialized results are never
+trusted blindly.
 """
 
 from . import rectangles, triangles
@@ -21,6 +22,7 @@ from .triangles import TriangleSides, as_heronian
 __all__ = [
     "CertificateError",
     "FAMILIES",
+    "READ_BACK_MAX_BOUND",
     "RECT_MAX_SIDE",
     "TRI_MAX_PERIMETER",
     "VERIFICATION_CHECKS",
@@ -64,6 +66,12 @@ VERIFICATION_CHECKS = (
 # triangle search's greatest perimeter.  They are also the CLI's flag defaults.
 RECT_MAX_SIDE = 200
 TRI_MAX_PERIMETER = 120
+# The greatest bound report_from_dict searches at, for each family whose
+# search grows with its bound: a rectangle's long side (brute_force_pairs takes
+# about 0.4 s and 120 MB at 20,000) and a triangle's perimeter
+# (enumerate_heronian about 0.6 s at 3,000).  The equable closed forms take
+# any bound in constant time, and a verification report has none.
+READ_BACK_MAX_BOUND = {"rectangles": 20_000, "triangles": 3_000}
 # The answers verify all checks the searches against.
 THE_FIVE_RECT_PAIRS = (
     ((1, 34), (7, 10)),
@@ -224,46 +232,20 @@ def assemble_report(
     bound: int | None,
     shapes: list[ShapeRecord],
     pairs: list[tuple[ShapeRecord, ShapeRecord]],
+    shapes_scanned: int,
     checks: tuple[tuple[str, bool], ...] = (),
-    shapes_scanned: int | None = None,
 ) -> SearchReport:
-    """Build a SearchReport, re-verifying every certificate.
+    """Build the SearchReport of one search's result, re-verifying every certificate.
 
-    Shape lists are retained in the report only for the equable families,
-    where the shapes themselves are the result; pair searches keep just the
-    scan count.  A rectangles report scans every canonical rectangle within
-    its bound (none for the exact enumeration) and an equable report its own
-    shapes, and a shapes_scanned that disagrees is rejected; for triangles
-    and verification reports the count is shapes_scanned, or len(shapes)
-    when that is None.  A pair that fails its cross equalities, a repeated
-    pair or kept shape, a shape with the wrong side count for the family, a
-    non-equable shape in an equable family, a shape beyond a non-null bound,
-    a null bound on a family that FAMILIES marks as not exact, a bound that
-    is not an int of at least 1 or a bound on a verification report, a
-    shapes_scanned that is not a non-negative int, or checks other than
-    VERIFICATION_CHECKS on a verification report (none on any other family)
-    aborts assembly.
+    search_report has already checked the family and bound and counted the
+    shapes its search scanned.  Shape lists are retained in the report only
+    for the equable families, where the shapes themselves are the result;
+    pair searches keep just the scan count.  A pair that fails its cross
+    equalities, a repeated pair or kept shape, a shape with the wrong side
+    count for the family, a non-equable shape in an equable family or a
+    shape beyond a non-null bound aborts assembly.
     """
-    if family not in FAMILIES:
-        raise CertificateError(f"unknown family: {family!r}")
-    n_sides, equable, exact = FAMILIES[family]
-    if tuple(name for name, _ in checks) != (VERIFICATION_CHECKS if family == "verification" else ()):
-        raise CertificateError(f"a {family} report does not carry its fixed list of checks")
-    # A verification report has no side count: it mixes rectangles and
-    # triangles, whose bounds differ, so it takes no bound.
-    if not (exact if bound is None else type(bound) is int and bound >= 1 and n_sides is not None):
-        raise CertificateError(f"a {family} report cannot have the bound {bound!r}")
-    if shapes_scanned is not None and (type(shapes_scanned) is not int or shapes_scanned < 0):
-        raise CertificateError(f"a shape count is a non-negative int, not {shapes_scanned!r}")
-    if family == "rectangles":
-        scanned = 0 if bound is None else rect_count(bound)
-    elif equable:
-        scanned = len(shapes)
-    else:
-        # a heronian count, which only a new enumeration could check
-        scanned = len(shapes) if shapes_scanned is None else shapes_scanned
-    if shapes_scanned is not None and shapes_scanned != scanned:
-        raise CertificateError(f"a {family} report scans {scanned} shapes, not {shapes_scanned}")
+    equable = FAMILIES[family][1]
     for rec in shapes:
         _check_shape(rec, family, bound)
     normalized = []
@@ -283,7 +265,7 @@ def assemble_report(
     return SearchReport(
         family=family,
         bound=bound,
-        shapes_scanned=scanned,
+        shapes_scanned=shapes_scanned,
         pairs=tuple(normalized),
         shapes=keep_shapes,
         checks=tuple(checks),
@@ -354,69 +336,77 @@ def _verification_checks():
 def search_report(family: str, bound: int | None) -> SearchReport:
     """The report of one search, built by assemble_report.
 
-    A rectangles search with a null bound is the exact divisor enumeration
-    and one with a bound the brute-force oracle; a verification report runs
-    every check of VERIFICATION_CHECKS.  Equable reports list their shapes
-    and no pairs: two equable shapes are never amicable, as that would take
-    equal area = perimeter values, and the closed forms give distinct ones
-    (16 and 18 for rectangles; 24, 30, 36, 42 and 60 for triangles).  A
-    result that fails its own certificate raises CertificateError.
+    Before any search, the family must be one of FAMILIES and the bound null
+    only for a family FAMILIES marks as exact; any other bound is an int of
+    at least the least shape's size (1 for a rectangle's long side, 3 for a
+    triangle's perimeter), and a verification report, which mixes
+    rectangles and triangles, takes none.  A rectangles search with a null
+    bound is the exact divisor enumeration, which scans nothing, and one
+    with a bound the brute-force oracle, which scans every canonical
+    rectangle within it; a triangles search scans the heronian triangles
+    within its bound; a verification report runs every check of
+    VERIFICATION_CHECKS.  Equable reports list their shapes, count them as
+    scanned and list no pairs: two equable shapes are never amicable, as
+    that would take equal area = perimeter values, and the closed forms give
+    distinct ones (16 and 18 for rectangles; 24, 30, 36, 42 and 60 for
+    triangles).  A rule or certificate that fails raises CertificateError.
     """
-    shapes, pairs, checks, scanned = [], [], (), None
+    if family not in FAMILIES:
+        raise CertificateError(f"unknown family: {family!r}")
+    n_sides, _, exact = FAMILIES[family]
+    least = {2: 1, 3: 3}.get(n_sides)
+    if not (exact if bound is None else type(bound) is int and least is not None and bound >= least):
+        raise CertificateError(f"a {family} report cannot have the bound {bound!r}")
+    shapes, pairs, checks = [], [], ()
     if family == "verification":
         pairs, checks, scanned = _verification_checks()
     elif family == "rectangles":
         pairs = _rect_pair_records(
             rectangles.enumerate_by_divisors() if bound is None else rectangles.brute_force_pairs(bound)
         )
+        scanned = 0 if bound is None else rect_count(bound)
     elif family == "triangles":
         found = triangles.enumerate_heronian(bound)
         pairs, scanned = _tri_pair_records(triangles.match_amicable_triangles(found)), len(found)
-    elif family == "equable-triangles":
-        shapes = [ShapeRecord(h.sides.as_tuple()) for h in triangles.find_equable_triangles(bound)]
     else:
-        shapes = [ShapeRecord((r.short, r.long)) for r in rectangles.equable_rectangles(bound)]
-    return assemble_report(family, bound, shapes, pairs, checks=checks, shapes_scanned=scanned)
+        if family == "equable-triangles":
+            shapes = [ShapeRecord(h.sides.as_tuple()) for h in triangles.find_equable_triangles(bound)]
+        else:
+            shapes = [ShapeRecord((r.short, r.long)) for r in rectangles.equable_rectangles(bound)]
+        scanned = len(shapes)
+    return assemble_report(family, bound, shapes, pairs, scanned, checks=checks)
 
 
 def report_from_dict(d: dict) -> SearchReport:
-    """Rebuild a SearchReport from d and require it to serialize to d's JSON text.
+    """Rebuild d as search_report(d["family"], d["bound"]) and require that the
+    rebuilt report serialize to d's JSON text.
 
-    A null-bound report of a family FAMILIES marks as exact is rebuilt as
-    search_report's exact answer, which takes milliseconds; any other from its
-    shapes' sides by assemble_report, which re-verifies every certificate and
-    runs no search, as searching at a stated bound is unbounded work.  The one
-    type-strict comparison fixes order, repeats, keys, every area, perimeter and
-    number's type (34.0 or true never stands for 34).  An equable report with its
-    bound moved by one reads back and is true: its closed form lists the same
-    shapes.  Any failure, malformed structure included, raises CertificateError.
+    So a report reads back only if the program prints it at its stated
+    family and bound: every pair and shape, the scan count and each check's
+    status are re-derived, never taken from d.  The one type-strict
+    comparison also fixes order, repeats, keys, every area, perimeter and
+    number's type (34.0 or true never stands for 34).  A bound above
+    READ_BACK_MAX_BOUND's cap for its family is refused before any search,
+    so a forged bound starts no unbounded work.  An edited bound that leaves
+    the answer unchanged reads back and is true: an equable report's bound
+    moved by one, or a triangles report's moved to the next odd perimeter,
+    which no heronian triangle has.  Any failure, malformed structure
+    included, raises CertificateError.
     """
     import json  # no command reads a report back, so no command loads json
 
     try:
-        exact = d["bound"] is None and d["family"] in FAMILIES and FAMILIES[d["family"]][2]
-        if exact:
-            report = search_report(d["family"], None)
-        else:
-            report = assemble_report(
-                d["family"],
-                d["bound"],
-                [ShapeRecord(tuple(entry["sides"])) for entry in d.get("shapes", ())],
-                [
-                    (ShapeRecord(tuple(p["first"]["sides"])), ShapeRecord(tuple(p["second"]["sides"])))
-                    for p in d["pairs"]
-                ],
-                checks=[(entry["name"], entry["status"] == "pass") for entry in d["checks"]],
-                shapes_scanned=d["shapes_scanned"],
-            )
+        family, bound = d["family"], d["bound"]
+        cap = READ_BACK_MAX_BOUND.get(family)
+        if cap is not None and type(bound) is int and bound > cap:
+            raise CertificateError(f"a {family} report is read back up to the bound {cap}, not {bound}")
+        report = search_report(family, bound)
         same = json.dumps(report.to_canonical_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
-    except (KeyError, TypeError, AttributeError, IndexError) as exc:
+    except (KeyError, TypeError) as exc:
         raise CertificateError(f"malformed report: {exc!r}") from exc
-    if same:
-        return report
-    if exact:
+    if not same:
         raise CertificateError(
-            f"a {report.family} report with no bound must be the exact answer, which scans "
+            f"report differs from search_report({family!r}, {bound!r}), which scans "
             f"{report.shapes_scanned} shapes and lists {len(report.pairs)} pairs"
         )
-    raise CertificateError("report differs from the one assemble_report builds from it")
+    return report

@@ -22,6 +22,7 @@ from amipoly.matching import (
     assemble_report,
     match_amicable,
     report_from_dict,
+    search_report,
 )
 from amipoly.rectangles import equable_rectangles
 from amipoly.triangles import find_equable_triangles
@@ -175,21 +176,21 @@ class TestShapeRecord:
 
 class TestAssembleReport:
     def test_empty_inputs(self):
-        report = assemble_report("rectangles", 10, [], [])
-        assert report.shapes_scanned == 55  # every rectangle within the bound
+        report = assemble_report("rectangles", 10, [], [], 55)
+        assert report.shapes_scanned == 55  # the count search_report passes in
         assert report.pairs == ()
 
     def test_reverifies_pairs(self):
         bad = (ShapeRecord((1, 2)), ShapeRecord((3, 4)))
         with pytest.raises(CertificateError):
-            assemble_report("rectangles", 10, [], [bad])
+            assemble_report("rectangles", 10, [], [bad], 55)
 
     def test_orders_and_sorts_pairs(self):
         pairs = [
             (ShapeRecord((7, 10)), ShapeRecord((1, 34))),
             (ShapeRecord((4, 6)), ShapeRecord((2, 10))),
         ]
-        report = assemble_report("rectangles", 54, [], pairs)
+        report = assemble_report("rectangles", 54, [], pairs, 1485)
         assert [(p[0].sides, p[1].sides) for p in report.pairs] == [
             ((1, 34), (7, 10)),
             ((2, 10), (4, 6)),
@@ -197,47 +198,57 @@ class TestAssembleReport:
 
     def test_equable_family_keeps_shapes(self):
         shapes = [ShapeRecord((4, 4)), ShapeRecord((3, 6))]
-        report = assemble_report("equable-rectangles", 10, shapes, [])
+        report = assemble_report("equable-rectangles", 10, shapes, [], 2)
         assert [s.sides for s in report.shapes] == [(3, 6), (4, 4)]
 
     def test_pair_family_drops_shape_list(self):
-        report = assemble_report("rectangles", 10, [ShapeRecord((2, 3))], [])
+        report = assemble_report("rectangles", 10, [ShapeRecord((2, 3))], [], 55)
         assert report.shapes == ()
-        assert report.shapes_scanned == 55  # every rectangle within the bound
 
     def test_inconsistent_shape_rejected(self):
         with pytest.raises(CertificateError):
-            assemble_report("rectangles", 10, [ShapeRecord((3, 4, 5))], [])
+            assemble_report("rectangles", 10, [ShapeRecord((3, 4, 5))], [], 55)
         with pytest.raises(CertificateError):
-            assemble_report("equable-rectangles", 10, [ShapeRecord((2, 3))], [])
-
-    @pytest.mark.parametrize("bound", [54.0, True])
-    def test_bound_must_be_an_int(self, bound):
-        with pytest.raises(CertificateError):
-            assemble_report("rectangles", bound, [], [])
-
-    @pytest.mark.parametrize("scanned", [7.0, True, -1])
-    def test_scan_count_must_be_a_non_negative_int(self, scanned):
-        with pytest.raises(CertificateError):
-            assemble_report("triangles", 10, [], [], shapes_scanned=scanned)
-
-    def test_unknown_family_rejected(self):
-        with pytest.raises(ValueError):
-            assemble_report("hexagons", 10, [], [])
+            assemble_report("equable-rectangles", 10, [ShapeRecord((2, 3))], [], 1)
 
     def test_deterministic_serialisation(self):
         pairs = [(ShapeRecord((1, 34)), ShapeRecord((7, 10)))]
-        r1 = assemble_report("rectangles", 54, [], pairs)
-        r2 = assemble_report("rectangles", 54, [], pairs)
+        r1 = assemble_report("rectangles", 54, [], pairs, 1485)
+        r2 = assemble_report("rectangles", 54, [], pairs, 1485)
         assert json.dumps(r1.to_canonical_dict(), sort_keys=True) == json.dumps(
             r2.to_canonical_dict(), sort_keys=True
         )
 
 
+class TestSearchReport:
+    @pytest.mark.parametrize("bound", [54.0, True])
+    def test_bound_must_be_an_int(self, bound):
+        with pytest.raises(CertificateError):
+            search_report("rectangles", bound)
+
+    def test_unknown_family_rejected(self):
+        with pytest.raises(CertificateError, match="unknown family"):
+            search_report("hexagons", 10)
+
+    @pytest.mark.parametrize(
+        "family, bound, scanned",
+        [
+            ("rectangles", None, 0),  # the divisor enumeration scans no rectangle
+            ("rectangles", 10, 55),  # every canonical rectangle within the bound
+            ("triangles", 150, 154),  # the heronian triangles within the bound
+            ("equable-rectangles", 10, 2),  # its own shapes
+            ("equable-triangles", 200, 5),
+            ("verification", None, 20_205),  # rect_count(200) + 105 heronian triangles
+        ],
+    )
+    def test_scan_count(self, family, bound, scanned):
+        assert search_report(family, bound).shapes_scanned == scanned
+
+
 class TestRoundTrip:
     def report(self):
-        pairs = [(ShapeRecord((1, 34)), ShapeRecord((7, 10)))]
-        return assemble_report("rectangles", 54, [], pairs)
+        """The complete rect oracle report at side 54, which lists all five pairs."""
+        return search_report("rectangles", 54)
 
     def test_round_trip(self):
         report = self.report()
@@ -317,11 +328,7 @@ class TestRoundTrip:
             report_from_dict(d)
 
     def test_reversed_pair_order_rejected(self):
-        pairs = [
-            (ShapeRecord((1, 34)), ShapeRecord((7, 10))),
-            (ShapeRecord((2, 10)), ShapeRecord((4, 6))),
-        ]
-        d = assemble_report("rectangles", 54, [], pairs).to_canonical_dict()
+        d = self.report().to_canonical_dict()
         d["pairs"].reverse()
         with pytest.raises(CertificateError):
             report_from_dict(d)
@@ -393,9 +400,9 @@ class TestRoundTrip:
         with pytest.raises(CertificateError):
             report_from_dict(d)
 
-    @pytest.mark.parametrize("scanned", [30.0, 154.0])
-    def test_triangles_scan_count_must_be_an_int(self, scanned):
-        """A triangles report passes its count through, so only its type is checked."""
+    @pytest.mark.parametrize("scanned", [0, 153, 155, 30.0, 154.0])
+    def test_triangles_scan_count_re_derived(self, scanned):
+        """The heronian count comes from a new enumeration at the stated bound."""
         d = canonical_report("tri search --max-perimeter 150 --format json")
         assert d["shapes_scanned"] == 154
         d["shapes_scanned"] = scanned
@@ -434,44 +441,72 @@ class TestRoundTrip:
             ("verify all", lambda d: d["checks"][0].update(status="fail")),
             ("rect enumerate", lambda d: d["pairs"].pop(2)),
             ("rect enumerate", lambda d: d["pairs"].clear()),
+            ("rect oracle --max-side 60", lambda d: d["pairs"].pop(0)),
+            ("rect oracle --max-side 60", lambda d: d["pairs"].clear()),
+            ("tri search --max-perimeter 150", lambda d: d["pairs"].clear()),
+            ("tri search --max-perimeter 150", lambda d: d.update(bound=149)),
+            ("tri search --max-perimeter 150", lambda d: d.update(shapes_scanned=153)),
         ],
         ids=[*(f"verify-all-pair-{i}-deleted" for i in range(6)), "verify-all-no-pairs",
-             "verify-all-check-fails", "rect-enumerate-pair-deleted", "rect-enumerate-no-pairs"],
+             "verify-all-check-fails", "rect-enumerate-pair-deleted", "rect-enumerate-no-pairs",
+             "rect-oracle-pair-deleted", "rect-oracle-no-pairs", "tri-search-no-pairs",
+             "tri-search-bound-149", "tri-search-scans-153"],
     )
-    def test_bound_free_report_is_the_exact_answer(self, command, edit):
+    def test_report_is_its_searchs_answer(self, command, edit):
         d = canonical_report(command + " --format json")
         assert report_from_dict(d).to_canonical_dict() == d
         edit(d)
-        with pytest.raises(CertificateError, match="no bound must be the exact answer"):
+        with pytest.raises(CertificateError, match="report differs from search_report"):
             report_from_dict(d)
 
-    def test_read_back_searches_only_without_a_bound(self, monkeypatch):
-        """Reading back verify all enumerates once, at its fixed bound; a bounded
-        report runs no search, as its bound is untrusted."""
-        reports = {
-            command: canonical_report(command)
-            for command in (
-                "verify all --format json",
-                "tri search --max-perimeter 150 --format json",
-                "rect oracle --max-side 60 --format json",
-            )
+    def test_read_back_runs_its_search_once(self, monkeypatch):
+        """Reading back a report runs its own search once, at its stated bound;
+        verify all's runs at its fixed bounds."""
+        commands = {
+            "verify all --format json": [("brute_force_pairs", 200), ("enumerate_heronian", 120)],
+            "tri search --max-perimeter 150 --format json": [("enumerate_heronian", 150)],
+            "rect oracle --max-side 60 --format json": [("brute_force_pairs", 60)],
         }
+        reports = {command: canonical_report(command) for command in commands}
         calls = []
         for module, name in ((tri_mod, "enumerate_heronian"), (rect_mod, "brute_force_pairs")):
             real = getattr(module, name)
             spy = lambda bound, name=name, real=real: calls.append((name, bound)) or real(bound)
             monkeypatch.setattr(module, name, spy)
-        report_from_dict(reports.pop("verify all --format json"))
-        assert calls == [("brute_force_pairs", 200), ("enumerate_heronian", 120)]
-        calls.clear()
-        for d in reports.values():
+        for command, searches in commands.items():
+            calls.clear()
+            report_from_dict(reports[command])
+            assert calls == searches
+
+    @pytest.mark.parametrize(
+        "command, bound",
+        [
+            ("tri search --max-perimeter 30", 1),
+            ("tri search --max-perimeter 30", 2),
+            ("tri search --max-perimeter 30", 10**12),
+            ("rect oracle --max-side 60", 10**12),
+            ("tri search --max-perimeter 30", True),
+            ("tri search --max-perimeter 30", 54.0),
+            ("rect oracle --max-side 60", True),
+            ("rect oracle --max-side 60", 54.0),
+        ],
+    )
+    def test_forged_bound_refused_before_any_search(self, monkeypatch, command, bound):
+        """A bound below the least shape, above READ_BACK_MAX_BOUND's cap or not an
+        int raises CertificateError and starts no search.  The search at 30 finds
+        no pair, so no listed shape lies beyond bound 1 or 2."""
+        d = canonical_report(command + " --format json")
+        d["bound"] = bound
+        calls = []
+        for module, name in ((tri_mod, "enumerate_heronian"), (rect_mod, "brute_force_pairs")):
+            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        with pytest.raises(CertificateError):
             report_from_dict(d)
         assert calls == []
 
     @pytest.mark.parametrize("command", ["verify all", "rect enumerate", "rect oracle --max-side 60"])
     def test_read_back_assembles_once(self, monkeypatch, command):
-        """A bound-free report is rebuilt only as the exact answer and any other
-        only from its sides: one assemble_report call either way."""
+        """Every report is rebuilt by its one search: one assemble_report call."""
         d = canonical_report(command + " --format json")
         calls = []
         real = matching_mod.assemble_report
@@ -504,12 +539,6 @@ class TestRoundTrip:
         d.update(bound=bound, shapes_scanned=scanned, pairs=[])
         with pytest.raises(CertificateError):
             report_from_dict(d)
-
-    def test_conflicting_scan_count_rejected_on_assembly(self):
-        with pytest.raises(CertificateError):
-            assemble_report("rectangles", 10, [], [], shapes_scanned=54)
-        assert assemble_report("rectangles", 10, [], [], shapes_scanned=55).shapes_scanned == 55
-        assert assemble_report("triangles", 10, [], [], shapes_scanned=7).shapes_scanned == 7
 
     def test_shape_list_on_pair_report_rejected(self):
         d = self.report().to_canonical_dict()
@@ -562,20 +591,13 @@ GATE_COMMANDS = {
     "equable rect --format json": 75,
     "verify all --format json": 407,
 }
-ITEM_10 = "open: a bounded report's pairs are not re-derived (ROADMAP item 10)"
-ITEM_3 = "open: a triangles report's heronian count is not re-derived (ROADMAP item 3)"
-TRI_SEARCH = "tri search --max-perimeter 150 --format json"
 # The edits that still read back: (command, path, edit, why).  An edit is
-# "delete", "empty", "double" or the JSON text of the new value.  Adding a row
-# loosens the gate.
+# "delete", "empty", "double" or the JSON text of the new value.  Each is a
+# true report, as its search gives the same answer at the edited bound.
+# Adding a row loosens the gate.
 READS_BACK = [
-    ("rect oracle --max-side 60 --format json", ("pairs",), "empty", ITEM_10),
-    *(("rect oracle --max-side 60 --format json", ("pairs", i), "delete", ITEM_10) for i in range(5)),
-    (TRI_SEARCH, ("bound",), "151", "true: no heronian triangle has an odd perimeter"),
-    (TRI_SEARCH, ("bound",), "149", ITEM_3),
-    *((TRI_SEARCH, ("shapes_scanned",), n, ITEM_3) for n in ("0", "153", "155")),
-    (TRI_SEARCH, ("pairs",), "empty", ITEM_10),
-    (TRI_SEARCH, ("pairs", 0), "delete", ITEM_10),
+    ("tri search --max-perimeter 150 --format json", ("bound",), "151",
+     "true: no heronian triangle has an odd perimeter"),
     *(("tri equable --format json", ("bound",), n, "true: the closed form lists the same shapes")
       for n in ("119", "121")),
     *(("equable rect --format json", ("bound",), n, "true: the closed form lists the same shapes")
