@@ -27,7 +27,7 @@ from functools import partial
 
 from . import rectangles, triangles
 from .matching import (
-    FAMILIES, RECT_MAX_SIDE, TRI_MAX_PERIMETER, CertificateError, ShapeRecord, search_report,
+    BOUNDS, FAMILIES, RECT_MAX_SIDE, TRI_MAX_PERIMETER, CertificateError, ShapeRecord, search_report,
 )
 from .triangles import TriangleSides
 
@@ -199,8 +199,8 @@ COMMANDS = {
     ("equable", "rect"): (partial(_search, "equable-rectangles"), {"--max-side": RECT_MAX_SIDE}, 0),
     ("verify", "all"): (partial(_search, "verification"), {}, 0),
 }
-# The least value of each int flag; the library functions keep their own checks.
-LEAST_VALUES = {"-a": 1, "-x": 1, "--max-side": 1, "--max-perimeter": 3}
+# Each int flag's least and greatest (None: no cap); bounds use BOUNDS, so every report reads back.
+FLAG_RANGES = {"-a": (1, None), "-x": (1, None), "--max-side": BOUNDS[2], "--max-perimeter": BOUNDS[3]}
 USAGE = [line.strip() for line in __doc__.splitlines() if line.startswith("    amipoly ")]
 
 
@@ -243,10 +243,13 @@ def _parse(argv: list[str]):
     missing = [name for name, value in values.items() if value is None]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    for name, least in LEAST_VALUES.items():
-        if values.get(name, least) < least:
+    for name, (least, greatest) in FLAG_RANGES.items():
+        value = values.get(name, least)
+        if value < least:
             rule = "positive" if least == 1 else f"at least {least}"
-            raise ValueError(f"{name} must be {rule}, got {values[name]}")
+            raise ValueError(f"{name} must be {rule}, got {value}")
+        if greatest is not None and value > greatest:
+            raise ValueError(f"{name} must be at most {greatest}, got {value}")
     fmt = values.pop("--format")
     sides = [TriangleSides.of(*(_int("A B C", token) for token in ints))] if n_ints else []
     return handler, [*sides, *values.values()], fmt

@@ -21,8 +21,8 @@ from .triangles import TriangleSides, as_heronian
 
 __all__ = [
     "CertificateError",
+    "BOUNDS",
     "FAMILIES",
-    "READ_BACK_MAX_BOUND",
     "RECT_MAX_SIDE",
     "TRI_MAX_PERIMETER",
     "VERIFICATION_CHECKS",
@@ -66,12 +66,12 @@ VERIFICATION_CHECKS = (
 # triangle search's greatest perimeter.  They are also the CLI's flag defaults.
 RECT_MAX_SIDE = 200
 TRI_MAX_PERIMETER = 120
-# The greatest bound report_from_dict searches at, for each family whose
-# search grows with its bound: a rectangle's long side (brute_force_pairs takes
-# about 0.4 s and 120 MB at 20,000) and a triangle's perimeter
-# (enumerate_heronian about 0.6 s at 3,000).  The equable closed forms take
-# any bound in constant time, and a verification report has none.
-READ_BACK_MAX_BOUND = {"rectangles": 20_000, "triangles": 3_000}
+# A bound's least and greatest value by its shapes' side count: a rectangle's
+# long side, a triangle's perimeter.  At the caps search_report takes 0.23 s and
+# 118 MB peak RSS for rectangles, 0.48 s and 23 MB for triangles (medians of 7
+# processes; 2-vCPU Xeon, Python 3.11.7).  The equable closed forms list every
+# equable shape from long side 6 and perimeter 60 on, so the caps cost them none.
+BOUNDS = {2: (1, 20_000), 3: (3, 3_000)}
 # The answers verify all checks the searches against.
 THE_FIVE_RECT_PAIRS = (
     ((1, 34), (7, 10)),
@@ -337,8 +337,8 @@ def search_report(family: str, bound: int | None) -> SearchReport:
     """The report of one search, built by assemble_report.
 
     Before any search, the family must be one of FAMILIES and the bound null
-    only for a family FAMILIES marks as exact; any other bound is an int of
-    at least the least shape's size (1 for a rectangle's long side, 3 for a
+    only for a family FAMILIES marks as exact; any other bound is an int in
+    BOUNDS' range for the family's side count (a rectangle's long side or a
     triangle's perimeter), and a verification report, which mixes
     rectangles and triangles, takes none.  A rectangles search with a null
     bound is the exact divisor enumeration, which scans nothing, and one
@@ -354,8 +354,8 @@ def search_report(family: str, bound: int | None) -> SearchReport:
     if family not in FAMILIES:
         raise CertificateError(f"unknown family: {family!r}")
     n_sides, _, exact = FAMILIES[family]
-    least = {2: 1, 3: 3}.get(n_sides)
-    if not (exact if bound is None else type(bound) is int and least is not None and bound >= least):
+    least, greatest = BOUNDS.get(n_sides, (1, 0))  # an empty range: verification takes no bound
+    if not (exact if bound is None else type(bound) is int and least <= bound <= greatest):
         raise CertificateError(f"a {family} report cannot have the bound {bound!r}")
     shapes, pairs, checks = [], [], ()
     if family == "verification":
@@ -385,21 +385,17 @@ def report_from_dict(d: dict) -> SearchReport:
     family and bound: every pair and shape, the scan count and each check's
     status are re-derived, never taken from d.  The one type-strict
     comparison also fixes order, repeats, keys, every area, perimeter and
-    number's type (34.0 or true never stands for 34).  A bound above
-    READ_BACK_MAX_BOUND's cap for its family is refused before any search,
-    so a forged bound starts no unbounded work.  An edited bound that leaves
-    the answer unchanged reads back and is true: an equable report's bound
-    moved by one, or a triangles report's moved to the next odd perimeter,
-    which no heronian triangle has.  Any failure, malformed structure
-    included, raises CertificateError.
+    number's type (34.0 or true never stands for 34).  search_report refuses
+    a bound outside BOUNDS before any search, so a forged bound starts no
+    unbounded work.  An edited bound that leaves the answer unchanged reads
+    back and is true: an equable report's bound moved by one, or a triangles
+    report's moved to the next odd perimeter, which no heronian triangle
+    has.  Any failure, malformed structure included, raises CertificateError.
     """
     import json  # no command reads a report back, so no command loads json
 
     try:
         family, bound = d["family"], d["bound"]
-        cap = READ_BACK_MAX_BOUND.get(family)
-        if cap is not None and type(bound) is int and bound > cap:
-            raise CertificateError(f"a {family} report is read back up to the bound {cap}, not {bound}")
         report = search_report(family, bound)
         same = json.dumps(report.to_canonical_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
     except (KeyError, TypeError) as exc:

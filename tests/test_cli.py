@@ -391,6 +391,13 @@ GRAMMAR_CASES = [
     (["tri", "search", "--max-perimeter", "2"], 1, "err", "error: --max-perimeter must be at least 3, got 2"),
     (["tri", "equable", "--max-perimeter", "2"], 1, "err", "error: --max-perimeter must be at least 3, got 2"),
     (["equable", "rect", "--max-side", "0"], 1, "err", "error: --max-side must be positive, got 0"),
+    # A bound above matching.BOUNDS' cap is a usage error, so every printed report reads back.
+    (["tri", "search", "--max-perimeter", "3001"], 1, "err", "error: --max-perimeter must be at most 3000, got 3001"),
+    (["tri", "equable", "--max-perimeter", "3001"], 1, "err", "error: --max-perimeter must be at most 3000, got 3001"),
+    (["rect", "oracle", "--max-side", "20001"], 1, "err", "error: --max-side must be at most 20000, got 20001"),
+    (["equable", "rect", "--max-side", "20001"], 1, "err", "error: --max-side must be at most 20000, got 20001"),
+    (["equable", "rect", "--max-side", "20000"], 0, "out", "bound: 20000"),
+    (["tri", "equable", "--max-perimeter", "3000"], 0, "out", "bound: 3000"),
     # A flag's range is checked on its last value.
     (["rect", "oracle", "--max-side", "0", "--max-side", "5"], 0, "out", "bound: 5"),
     # Accepted by argparse, not by the command table: abbreviated long flags

@@ -14,6 +14,8 @@ import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly.cli import main
 from amipoly.matching import (
+    BOUNDS,
+    FAMILIES,
     CertificateError,
     SearchReport,
     ShapeFingerprint,
@@ -52,6 +54,20 @@ def rect_fp(a, b):
 
 def pair_ids(pairs):
     return {(s.shape_id, t.shape_id) for s, t in pairs}
+
+
+def stub_searches(monkeypatch) -> list:
+    """Replace each search a report can run with a stub that only records its
+    name; returns the list of names, which stays empty if none ran."""
+    calls = []
+    for module, name in (
+        (tri_mod, "enumerate_heronian"),
+        (rect_mod, "brute_force_pairs"),
+        (tri_mod, "find_equable_triangles"),
+        (rect_mod, "equable_rectangles"),
+    ):
+        monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+    return calls
 
 
 class TestMatchAmicable:
@@ -229,6 +245,16 @@ class TestSearchReport:
     def test_unknown_family_rejected(self):
         with pytest.raises(CertificateError, match="unknown family"):
             search_report("hexagons", 10)
+
+    @pytest.mark.parametrize(
+        "family", ["rectangles", "triangles", "equable-rectangles", "equable-triangles"]
+    )
+    def test_bound_above_its_cap_refused_before_any_search(self, monkeypatch, family):
+        calls = stub_searches(monkeypatch)
+        greatest = BOUNDS[FAMILIES[family][0]][1]
+        with pytest.raises(CertificateError, match=f"cannot have the bound {greatest + 1}"):
+            search_report(family, greatest + 1)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "family, bound, scanned",
@@ -485,6 +511,10 @@ class TestRoundTrip:
             ("tri search --max-perimeter 30", 2),
             ("tri search --max-perimeter 30", 10**12),
             ("rect oracle --max-side 60", 10**12),
+            ("tri search --max-perimeter 30", 3001),
+            ("rect oracle --max-side 60", 20001),
+            ("tri equable", 10**12),
+            ("equable rect", 10**12),
             ("tri search --max-perimeter 30", True),
             ("tri search --max-perimeter 30", 54.0),
             ("rect oracle --max-side 60", True),
@@ -492,14 +522,13 @@ class TestRoundTrip:
         ],
     )
     def test_forged_bound_refused_before_any_search(self, monkeypatch, command, bound):
-        """A bound below the least shape, above READ_BACK_MAX_BOUND's cap or not an
-        int raises CertificateError and starts no search.  The search at 30 finds
-        no pair, so no listed shape lies beyond bound 1 or 2."""
+        """A bound below the least shape, above its family's cap or not an int
+        raises CertificateError and starts no search, equable closed forms
+        included.  The search at 30 finds no pair, so no listed shape lies
+        beyond bound 1 or 2."""
         d = canonical_report(command + " --format json")
         d["bound"] = bound
-        calls = []
-        for module, name in ((tri_mod, "enumerate_heronian"), (rect_mod, "brute_force_pairs")):
-            monkeypatch.setattr(module, name, lambda *a, name=name: calls.append(name))
+        calls = stub_searches(monkeypatch)
         with pytest.raises(CertificateError):
             report_from_dict(d)
         assert calls == []
