@@ -31,8 +31,6 @@ from .matching import (
 )
 from .triangles import TriangleSides
 
-__all__ = ["main", "run"]
-
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_NO_RESULT = 2
@@ -199,8 +197,10 @@ COMMANDS = {
     ("equable", "rect"): (partial(_search, "equable-rectangles"), {"--max-side": RECT_MAX_SIDE}, 0),
     ("verify", "all"): (partial(_search, "verification"), {}, 0),
 }
-# Each int flag's least and greatest (None: no cap); bounds use BOUNDS, so every report reads back.
-FLAG_RANGES = {"-a": (1, None), "-x": (1, None), "--max-side": BOUNDS[2], "--max-perimeter": BOUNDS[3]}
+# Each int argument's least and greatest (None: no cap); bounds use BOUNDS, so every report reads back.
+FLAG_RANGES = {"-a": (1, None), "-x": (1, None), "--max-side": BOUNDS[2],
+               "--max-perimeter": BOUNDS[3], "A B C": (1, 10**12)}  # A B C: the longest side
+TOKEN_LIMIT = 40  # of a token, the most characters an error line echoes and the most digits _int reads
 USAGE = [line.strip() for line in __doc__.splitlines() if line.startswith("    amipoly ")]
 
 
@@ -209,17 +209,29 @@ def _is_flag(token: str) -> bool:
     return token.startswith("-") and not token[1:2].isdigit()
 
 
+def _shown(token: str) -> str:
+    return token if len(token) <= TOKEN_LIMIT else token[:TOKEN_LIMIT] + "..."
+
+
 def _int(name: str, token: str) -> int:
+    """token as an int.  Its digits are counted before int() reads them (int() refuses
+    4,301), and more than TOKEN_LIMIT, leading zeros included, are refused by that count."""
+    digits = token.strip().lstrip("+-").replace("_", "")
+    if len(digits) > TOKEN_LIMIT and digits.isdecimal():
+        greatest = FLAG_RANGES[name][1]
+        if greatest is None or token.strip().startswith("-"):
+            raise ValueError(f"{name} must have at most {TOKEN_LIMIT} digits, got {len(digits)}")
+        raise ValueError(f"{name} must be at most {greatest}, got a {len(digits)}-digit int")
     try:
         return int(token)
     except ValueError:
-        raise ValueError(f"{name}: invalid int value: {token!r}") from None
+        raise ValueError(f"{name}: invalid int value: {_shown(token)!r}") from None
 
 
 def _parse(argv: list[str]):
     """The handler argv names, its arguments and the format; raises ValueError on a usage error."""
     if tuple(argv[:2]) not in COMMANDS:
-        raise ValueError(f"unknown command: {' '.join(argv[:2]) or '(none)'}")
+        raise ValueError(f"unknown command: {' '.join(map(_shown, argv[:2])) or '(none)'}")
     handler, flags, n_ints = COMMANDS[tuple(argv[:2])]
     values = {**flags, "--format": "table"}
     ints, tokens = [], iter(argv[2:])
@@ -229,29 +241,29 @@ def _parse(argv: list[str]):
             continue
         name, eq, value = token.partition("=")
         if not _is_flag(token) or name not in values:
-            raise ValueError(f"unrecognized argument: {token}")
+            raise ValueError(f"unrecognized argument: {_shown(token)}")
         value = value if eq else next(tokens, None)
         if value is None or (not eq and _is_flag(value)):
             raise ValueError(f"{name}: expected one value")
         if name != "--format":
             value = _int(name, value)
         elif value not in FORMATS:
-            raise ValueError(f"--format must be one of {', '.join(FORMATS)}, got {value!r}")
+            raise ValueError(f"--format must be one of {', '.join(FORMATS)}, got {_shown(value)!r}")
         values[name] = value
     if len(ints) != n_ints:
         raise ValueError(f"'{argv[0]} {argv[1]}' takes {n_ints} int arguments, got {len(ints)}")
     missing = [name for name, value in values.items() if value is None]
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
-    for name, (least, greatest) in FLAG_RANGES.items():
-        value = values.get(name, least)
+    fmt = values.pop("--format")
+    sides = [TriangleSides.of(*(_int("A B C", token) for token in ints))] if n_ints else []
+    for name, value in [*values.items(), *(("A B C", s.c) for s in sides)]:
+        least, greatest = FLAG_RANGES[name]
         if value < least:
             rule = "positive" if least == 1 else f"at least {least}"
             raise ValueError(f"{name} must be {rule}, got {value}")
         if greatest is not None and value > greatest:
             raise ValueError(f"{name} must be at most {greatest}, got {value}")
-    fmt = values.pop("--format")
-    sides = [TriangleSides.of(*(_int("A B C", token) for token in ints))] if n_ints else []
     return handler, [*sides, *values.values()], fmt
 
 

@@ -10,21 +10,6 @@ are never materialised as floats.
 import operator
 from math import gcd, isqrt
 
-__all__ = [
-    "Record",
-    "LatticePoint",
-    "LatticePolygon",
-    "RadicalSum",
-    "is_perfect_square",
-    "twice_area",
-    "boundary_point_count",
-    "interior_point_count",
-    "squared_side_lengths",
-    "radical_sum_is_rational",
-    "two_radical_sum_is_rational",
-    "three_radical_sum_is_rational",
-]
-
 
 def is_perfect_square(n: int) -> bool:
     """True iff n is the square of an integer.  Exact, no floating point."""

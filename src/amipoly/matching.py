@@ -19,24 +19,6 @@ from .rectangles import RectSides
 # and checks but never the records every report is built from.
 from .triangles import TriangleSides, as_heronian
 
-__all__ = [
-    "CertificateError",
-    "BOUNDS",
-    "FAMILIES",
-    "RECT_MAX_SIDE",
-    "TRI_MAX_PERIMETER",
-    "VERIFICATION_CHECKS",
-    "ShapeFingerprint",
-    "ShapeRecord",
-    "match_amicable",
-    "SearchReport",
-    "rect_count",
-    "assemble_report",
-    "placed_amicably",
-    "search_report",
-    "report_from_dict",
-]
-
 # Each family -> (the side count of every shape its report lists, whether those
 # shapes are equable, whether its report may have a null bound).  A verification
 # report lists rectangle and triangle pairs.  Only two searches are exact, that

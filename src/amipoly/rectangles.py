@@ -10,18 +10,6 @@ from math import isqrt
 
 from .lattice import Record, is_perfect_square
 
-__all__ = [
-    "RectSides",
-    "RectAmicablePair",
-    "PartnerSolution",
-    "perimeter_dominant",
-    "small_side_candidates",
-    "solve_partner",
-    "enumerate_by_divisors",
-    "brute_force_pairs",
-    "equable_rectangles",
-]
-
 
 class RectSides(Record):
     """Canonical rectangle side record with short <= long."""

@@ -18,19 +18,6 @@ from .lattice import (
     LatticePoint, LatticePolygon, Record, is_perfect_square, squared_side_lengths, twice_area
 )
 
-__all__ = [
-    "TriangleSides",
-    "HeronianTriangle",
-    "TriangleEmbedding",
-    "as_heronian",
-    "enumerate_heronian",
-    "match_amicable_triangles",
-    "find_amicable_triangle_pairs",
-    "find_equable_triangles",
-    "sum_two_squares_reps",
-    "embed_triangle",
-]
-
 _ORIGIN = LatticePoint(0, 0)
 
 

@@ -408,6 +408,11 @@ GRAMMAR_CASES = [
     (["tri", "embed", "1", "2", "3"], 1, "err", "error: triangle inequality fails for 1x2x3"),
     (["tri", "embed", "0", "3", "4"], 1, "err", "error: sides must satisfy 1 <= a <= b <= c, got 0x3x4"),
     (["verify", "all", "extra"], 1, "err", "error: unrecognized argument: extra"),
+    # tri embed's longest side is capped at 10**12, once the sides make a triangle.
+    (["tri", "embed", "600000000000", "800000000000", "1000000000000"], 0, "out", "twice area: 480000000000000000000000"),
+    (["tri", "embed", "600000000000", "800000000000", "1000000000001"], 1, "err", "error: A B C must be at most 1000000000000, got 1000000000001"),
+    # An int token has at most 40 digits, leading zeros included (TestLongTokens has 41).
+    (["tri", "search", "--max-perimeter", "0" * 37 + "120"], 0, "out", "bound: 120"),
 ]
 
 
@@ -423,6 +428,58 @@ class TestUsageErrors:
         if code == 1:
             assert err.startswith("usage: amipoly ")
             assert err.splitlines()[-1].startswith("error: ")
+
+
+LONG = "1" + "0" * 5000  # above CPython's 4,300-digit limit on int(str)
+
+
+class TestLongTokens:
+    """An int token is refused by its digit count before int() reads it, and no
+    error line echoes more than about 40 characters of a token."""
+
+    @pytest.mark.parametrize(
+        "argv, error",
+        [
+            pytest.param(
+                ["tri", "search", "--max-perimeter", LONG],
+                "--max-perimeter must be at most 3000, got a 5001-digit int",
+                id="bound",
+            ),
+            pytest.param(
+                ["tri", "search", "--max-perimeter", "0" * 38 + "120"],
+                "--max-perimeter must be at most 3000, got a 41-digit int",
+                id="leading zeros count",
+            ),
+            pytest.param(["rect", "solve", "-a", LONG, "-x", "7"], "-a must have at most 40 digits, got 5001", id="-a"),
+            pytest.param(
+                ["rect", "oracle", "--max-side=-" + LONG], "--max-side must have at most 40 digits, got 5001", id="negative"
+            ),
+            pytest.param(
+                ["tri", "embed", "3", "25", LONG],
+                "A B C must be at most 1000000000000, got a 5001-digit int",
+                id="A B C",
+            ),
+            pytest.param(
+                ["tri", "embed", "3", "25", "1_" * 3000 + "1"],
+                "A B C must be at most 1000000000000, got a 3001-digit int",
+                id="A B C underscores",
+            ),
+            pytest.param(
+                ["tri", "embed", "3", "25", "x" * 5000], "A B C: invalid int value: '" + "x" * 40 + "...'", id="not an int"
+            ),
+            pytest.param(["verify", "all", "x" * 5000], "unrecognized argument: " + "x" * 40 + "...", id="stray word"),
+            pytest.param(
+                ["rect", "enumerate", "--format", "x" * 5000],
+                "--format must be one of table, json, csv, got '" + "x" * 40 + "...'",
+                id="format",
+            ),
+        ],
+    )
+    def test_long_token_gets_a_short_error(self, capsys, argv, error):
+        got, out, err = run_cli(capsys, *argv)
+        assert (got, out) == (1, "")
+        assert err.splitlines()[-1] == "error: " + error
+        assert len(err.encode()) < 300
 
 
 class TestProcessPath:
