@@ -49,8 +49,8 @@ VERIFICATION_CHECKS = (
 RECT_MAX_SIDE = 200
 TRI_MAX_PERIMETER = 120
 # A bound's least and greatest value by its shapes' side count: a rectangle's
-# long side, a triangle's perimeter.  At the caps search_report takes 0.23 s and
-# 118 MB peak RSS for rectangles, 0.48 s and 23 MB for triangles (medians of 7
+# long side, a triangle's perimeter.  At the caps search_report takes 0.09 s and
+# 14 MB peak RSS for rectangles, 0.42 s and 23 MB for triangles (medians of 7
 # processes; 2-vCPU Xeon, Python 3.11.7).  The equable closed forms list every
 # equable shape from long side 6 and perimeter 60 on, so the caps cost them none.
 BOUNDS = {2: (1, 20_000), 3: (3, 3_000)}

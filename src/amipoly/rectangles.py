@@ -61,23 +61,23 @@ def perimeter_dominant(r: RectSides) -> bool:
     return r.area() <= r.perimeter()
 
 
-def _partner_quadratic(r: RectSides) -> RectSides | None:
-    """The unique rectangle whose perimeter is r's area and area is r's perimeter.
+def _partner_quadratic(a: int, b: int) -> tuple[int, int] | None:
+    """Sides (x, y), x <= y, of the one rectangle whose perimeter is a*b and area 2*(a + b).
 
-    Solves x + y = area/2, x*y = perimeter over positive integers via the
+    Solves x + y = a*b/2, x*y = 2*(a + b) over positive integers via the
     discriminant; None when no such rectangle exists.  A square discriminant
     needs no further test: s^2 - root^2 = 4p makes s - root even, and
     root < s makes x >= 1.
     """
-    if r.area() % 2:
+    if a * b % 2:
         return None  # a partner perimeter 2*(x + y) is always even
-    s = r.area() // 2
-    p = r.perimeter()
+    s = a * b // 2
+    p = 2 * (a + b)
     disc = s * s - 4 * p
     if not is_perfect_square(disc):  # False for disc < 0 too
         return None
     root = isqrt(disc)
-    return RectSides((s - root) // 2, (s + root) // 2)
+    return (s - root) // 2, (s + root) // 2
 
 
 def small_side_candidates(max_side: int) -> list[int]:
@@ -102,8 +102,8 @@ def small_side_candidates(max_side: int) -> list[int]:
                 # ab - 2(a + b) = b(a - 2) - 2a never decreases in b for a >= 2
                 # (and stays negative for a = 1), so no longer rectangle is either.
                 break
-            partner = _partner_quadratic(r)
-            if partner is None or partner == r:
+            partner = _partner_quadratic(a, b)
+            if partner is None or partner == (a, b):
                 continue
             shorts.add(a)
     return sorted(shorts)
@@ -181,23 +181,18 @@ def brute_force_pairs(max_side: int) -> list[RectAmicablePair]:
     Rectangles are matched purely on the cross equalities (area of one equals
     perimeter of the other, both ways); no dominance or divisor reasoning is
     used, so this is an independent check of enumerate_by_divisors.  Only
-    rectangles with area <= 4*max_side are keyed: a pair member's area is its
-    partner's perimeter, which is at most 4*max_side.
+    rectangles with area <= 4*max_side are scanned: a pair member's area is
+    its partner's perimeter, which is at most 4*max_side.  Each one's partner
+    comes from _partner_quadratic and counts if its long side is <= max_side.
     """
     if max_side < 1:
         raise ValueError(f"max_side must be positive, got {max_side}")
-    max_area = 4 * max_side
-    # sides are the roots of t^2 - (perimeter/2)*t + area, so a key names
-    # at most one rectangle
-    by_key: dict[tuple[int, int], tuple[int, int]] = {}
-    for a in range(1, max_side + 1):
-        for b in range(a, min(max_side, max_area // a) + 1):
-            by_key[(a * b, 2 * (a + b))] = (a, b)
     pairs = set()
-    for (area, perimeter), r in by_key.items():
-        t = by_key.get((perimeter, area))
-        if t is not None and t != r:
-            pairs.add(RectAmicablePair.of(RectSides(*r), RectSides(*t)))
+    for a in range(1, max_side + 1):
+        for b in range(a, min(max_side, 4 * max_side // a) + 1):
+            partner = _partner_quadratic(a, b)
+            if partner is not None and partner != (a, b) and partner[1] <= max_side:
+                pairs.add(RectAmicablePair.of(RectSides(a, b), RectSides(*partner)))
     return sorted(pairs)
 
 

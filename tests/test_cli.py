@@ -386,7 +386,9 @@ GRAMMAR_CASES = [
     (["tri", "embed", "3", "4"], 1, "err", "usage: amipoly tri embed A B C"),
     (["tri", "embed"], 1, "err", "usage: amipoly tri embed A B C"),
     (["tri", "embed", "3", "4", "5", "6"], 1, "err", "usage: amipoly tri embed A B C"),
+    (["tri", "embed", "5"], 1, "err", "error: 'tri embed' takes 3 int arguments, got 1"),
     (["rect", "solve", "-a", "-3", "-x", "5"], 1, "err", "positive"),
+    (["rect", "solve", "-a", "-1a", "-x", "5"], 1, "err", "error: -a: invalid int value: '-1a'"),
     (["rect", "solve", "-a", "1", "-x", "0"], 1, "err", "error: -x must be positive, got 0"),
     (["tri", "search", "--max-perimeter", "2"], 1, "err", "error: --max-perimeter must be at least 3, got 2"),
     (["tri", "equable", "--max-perimeter", "2"], 1, "err", "error: --max-perimeter must be at least 3, got 2"),
@@ -407,6 +409,8 @@ GRAMMAR_CASES = [
     # Sides that make no triangle, and a stray word, are usage errors too.
     (["tri", "embed", "1", "2", "3"], 1, "err", "error: triangle inequality fails for 1x2x3"),
     (["tri", "embed", "0", "3", "4"], 1, "err", "error: sides must satisfy 1 <= a <= b <= c, got 0x3x4"),
+    # A side of 1 is in range: 1x1x1 reaches the embedder, which refuses it.
+    (["tri", "embed", "1", "1", "1"], 2, "out", "1x1x1: not heronian (16*Area^2 = 3)"),
     (["verify", "all", "extra"], 1, "err", "error: unrecognized argument: extra"),
     # tri embed's longest side is capped at 10**12, once the sides make a triangle.
     (["tri", "embed", "600000000000", "800000000000", "1000000000000"], 0, "out", "twice area: 480000000000000000000000"),

@@ -221,6 +221,12 @@ class TestAssembleReport:
         report = assemble_report("rectangles", 10, [ShapeRecord((2, 3))], [], 55)
         assert report.shapes == ()
 
+    def test_rectangle_measured_by_its_long_side(self):
+        # 1x34's short side is within the bound; its long side is not
+        pair = (ShapeRecord((1, 34)), ShapeRecord((7, 10)))
+        with pytest.raises(CertificateError, match="1x34 lies beyond the bound 20"):
+            assemble_report("rectangles", 20, [], [pair], 210)
+
     def test_inconsistent_shape_rejected(self):
         with pytest.raises(CertificateError):
             assemble_report("rectangles", 10, [ShapeRecord((3, 4, 5))], [], 55)

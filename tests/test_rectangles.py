@@ -1,3 +1,4 @@
+import tracemalloc
 from fractions import Fraction
 from math import isqrt
 
@@ -84,11 +85,11 @@ class TestSmallSideCandidates:
         # odd area can never equal an (even) partner perimeter
         for r in (RectSides(3, 3), RectSides(3, 5)):
             assert r.area() % 2 == 1
-            assert _partner_quadratic(r) is None
+            assert _partner_quadratic(r.short, r.long) is None
 
     def test_three_by_four_has_no_integer_partner(self):
         # x + y = 6 and x*y = 14 has no integer solutions
-        assert _partner_quadratic(RectSides(3, 4)) is None
+        assert _partner_quadratic(3, 4) is None
         assert [
             (x, 6 - x) for x in range(-20, 21) if x * (6 - x) == 14
         ] == []
@@ -101,15 +102,15 @@ class TestSmallSideCandidates:
                 r = RectSides(a, b)
                 p = r.perimeter()
                 scan = [
-                    RectSides(x, p // x)
+                    (x, p // x)
                     for x in range(1, isqrt(p) + 1)
                     if p % x == 0 and 2 * (x + p // x) == r.area()
                 ]
-                assert _partner_quadratic(r) == (scan[0] if scan else None), r
+                assert _partner_quadratic(a, b) == (scan[0] if scan else None), r
 
     def test_self_partnered_shapes_excluded(self):
-        assert _partner_quadratic(RectSides(4, 4)) == RectSides(4, 4)
-        assert _partner_quadratic(RectSides(3, 6)) == RectSides(3, 6)
+        assert _partner_quadratic(4, 4) == (4, 4)
+        assert _partner_quadratic(3, 6) == (3, 6)
         assert 3 not in small_side_candidates(200)
         assert 4 not in small_side_candidates(200)
 
@@ -209,9 +210,21 @@ class TestEnumeration:
     def test_oracle_equivalence(self):
         assert brute_force_pairs(200) == enumerate_by_divisors()
 
-    @pytest.mark.parametrize("max_side", [9, 10, 37, 53, 54, 300])
+    @pytest.mark.parametrize("max_side", [9, 10, 12, 13, 33, 34, 37, 38, 53, 54, 300])
     def test_equals_unpruned_join(self, max_side):
         assert as_tuples(brute_force_pairs(max_side)) == naive_rect_pairs(max_side)
+
+    def test_oracle_holds_no_table(self):
+        """The oracle keeps only its pairs, nothing per scanned rectangle: 27,952
+        rectangles with area <= 8,000 would take megabytes in any table."""
+        tracemalloc.start()
+        try:
+            pairs = brute_force_pairs(2000)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert pairs == enumerate_by_divisors()
+        assert peak < 100_000
 
     def test_cross_equalities_on_every_pair(self):
         for p in brute_force_pairs(100):
