@@ -239,8 +239,10 @@ def _parse(argv: list[str]):
         if n_ints and not _is_flag(token):
             ints.append(token)
             continue
+        # Every key of values is a flag, and a token's name is a flag only if
+        # the token is one, so a token that is no flag never names a key.
         name, eq, value = token.partition("=")
-        if not _is_flag(token) or name not in values:
+        if name not in values:
             raise ValueError(f"unrecognized argument: {_shown(token)}")
         value = value if eq else next(tokens, None)
         if value is None or (not eq and _is_flag(value)):

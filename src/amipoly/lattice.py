@@ -236,16 +236,19 @@ def three_radical_sum_is_rational(a: int, b: int, c: int) -> bool:
         return False
     lo = isqrt(a) + isqrt(b) + isqrt(c)
     for d in range(lo, lo + 4):
+        # num > 0 needs no test: n <= r*r + 2*r for the floor root r of each
+        # radicand n, and isqrt(c) >= 1, so d*d >= lo*lo > a + b
         num = d * d + c - a - b
-        if num < 0 or num % 2:
+        if num % 2:
             continue
         if not is_perfect_square(d * d * c):
             continue
         if isqrt(a * b) + isqrt(d * d * c) != num // 2:
             continue
-        # d*d*c being a perfect square with d >= 1 forces c to be one too
+        # d*d*c being a perfect square with d >= 1 forces c to be one too;
+        # remainder >= isqrt(a) + isqrt(b) >= 2 as d >= lo
         remainder = d - isqrt(c)
-        if remainder < 0 or not two_radical_sum_is_rational(a, b):
+        if not two_radical_sum_is_rational(a, b):
             continue
         if isqrt(a) + isqrt(b) == remainder:
             return True

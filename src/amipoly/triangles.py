@@ -324,9 +324,11 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     for r in sum_two_squares_reps(c_sq):
         for px, py in ((r.x, r.y), (-r.x, r.y), (r.x, -r.y), (-r.x, -r.y)):
             for cross in (2 * t.area, -2 * t.area):
+                # the two numerators' squares sum to (b*c^2)^2, so c^2 divides
+                # the second whenever it divides the first
                 qx, rx = divmod(dot * px - cross * py, c_sq)
-                qy, ry = divmod(dot * py + cross * px, c_sq)
-                if rx == 0 and ry == 0:
+                qy = (dot * py + cross * px) // c_sq
+                if rx == 0:
                     key = min((px, py, qx, qy), (qx, qy, px, py))
                     if best is None or key < best:
                         best = key

@@ -320,11 +320,6 @@ class TestVerifyAll:
         assert [c["name"] for c in payload["checks"] if c["status"] == "fail"] == failing
         assert err == "verification failed: " + ", ".join(failing) + "\n"
 
-    def test_deterministic_json(self, capsys):
-        _, out1, _ = run_cli(capsys, "verify", "all", "--format", "json")
-        _, out2, _ = run_cli(capsys, "verify", "all", "--format", "json")
-        assert out1 == out2
-
 
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
 @pytest.mark.parametrize("command", [["verify", "all"], ["tri", "search"]], ids=" ".join)
@@ -376,10 +371,12 @@ GRAMMAR_CASES = [
     (["rect", "--help"], 0, "out", "amipoly verify all"),
     (["pentagons"], 1, "err", "usage: amipoly rect enumerate"),
     (["rect", "nope"], 1, "err", "error: unknown command: rect nope"),
+    (["rect", "bogus", "extra"], 1, "err", "error: unknown command: rect bogus\n"),
     (["rect", "enumerate", "--nope"], 1, "err", "usage: amipoly rect enumerate"),
     (["rect", "solve", "-a", "1"], 1, "err", "usage: amipoly rect solve -a A -x X"),
     (["rect", "solve", "-a"], 1, "err", "usage: amipoly rect solve -a A -x X"),
     (["rect", "solve", "-a", "-x", "5"], 1, "err", "usage: amipoly rect solve -a A -x X"),
+    (["rect", "oracle", "--max-side", "--format", "json"], 1, "err", "error: --max-side: expected one value"),
     (["rect", "oracle", "--max-side", "ten"], 1, "err", "usage: amipoly rect oracle"),
     (["rect", "enumerate", "--format", "xml"], 1, "err", "usage: amipoly rect enumerate"),
     (["rect", "enumerate", "extra"], 1, "err", "usage: amipoly rect enumerate"),
@@ -472,6 +469,7 @@ class TestLongTokens:
                 ["tri", "embed", "3", "25", "x" * 5000], "A B C: invalid int value: '" + "x" * 40 + "...'", id="not an int"
             ),
             pytest.param(["verify", "all", "x" * 5000], "unrecognized argument: " + "x" * 40 + "...", id="stray word"),
+            pytest.param(["verify", "all", "x" * 40], "unrecognized argument: " + "x" * 40, id="40 characters"),
             pytest.param(
                 ["rect", "enumerate", "--format", "x" * 5000],
                 "--format must be one of table, json, csv, got '" + "x" * 40 + "...'",

@@ -141,9 +141,10 @@ class TestClosedForm:
         assert solve_partner(3, 4) == PartnerSolution("non-integer")
         assert solve_partner(3, 2) == PartnerSolution("solved", b=10, y=13)
 
-    def test_rejects_nonpositive_input(self):
+    @pytest.mark.parametrize("a, x", [(0, 5), (1, 0)])
+    def test_rejects_nonpositive_input(self, a, x):
         with pytest.raises(ValueError):
-            solve_partner(0, 5)
+            solve_partner(a, x)
 
     def test_divisor_branch_raw_values(self):
         # every divisor case solves, so enumerate_by_divisors skips none
@@ -204,11 +205,10 @@ class TestEnumeration:
 
     def test_brute_force_small_bounds(self):
         assert brute_force_pairs(9) == []
+        with pytest.raises(ValueError):
+            brute_force_pairs(0)
         assert as_tuples(brute_force_pairs(10)) == [((2, 10), (4, 6))]
         assert as_tuples(brute_force_pairs(54)) == THE_FIVE
-
-    def test_oracle_equivalence(self):
-        assert brute_force_pairs(200) == enumerate_by_divisors()
 
     @pytest.mark.parametrize("max_side", [9, 10, 12, 13, 33, 34, 37, 38, 53, 54, 300])
     def test_equals_unpruned_join(self, max_side):
@@ -225,25 +225,6 @@ class TestEnumeration:
             tracemalloc.stop()
         assert pairs == enumerate_by_divisors()
         assert peak < 100_000
-
-    def test_cross_equalities_on_every_pair(self):
-        for p in brute_force_pairs(100):
-            assert p.first.area() == p.second.perimeter()
-            assert p.second.area() == p.first.perimeter()
-
-    def test_dominant_member_filter(self):
-        for p in brute_force_pairs(200):
-            dominant = [r for r in (p.first, p.second) if perimeter_dominant(r)]
-            assert dominant
-            assert all(r.short in (1, 2) for r in dominant)
-
-    def test_no_self_pairs_and_equables_excluded(self):
-        pairs = brute_force_pairs(200)
-        in_pairs = {r for p in pairs for r in (p.first, p.second)}
-        for r in equable_rectangles(200):
-            assert r not in in_pairs
-        for p in pairs:
-            assert p.first != p.second
 
 
 class TestEquableRectangles:
@@ -274,9 +255,11 @@ class TestEquableRectangles:
 
 
 class TestPairCertificates:
-    def test_bad_pair_rejected(self):
+    # no cross equality holds, or only area 34 = perimeter 34, or only 70 = 70
+    @pytest.mark.parametrize("second", [(3, 4), (8, 9), (5, 14)])
+    def test_bad_pair_rejected(self, second):
         with pytest.raises(ValueError):
-            RectAmicablePair(RectSides(1, 2), RectSides(3, 4))
+            RectAmicablePair(RectSides(1, 34), RectSides(*second))
 
     def test_self_pair_rejected(self):
         with pytest.raises(ValueError):
