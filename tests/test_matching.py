@@ -423,8 +423,9 @@ class TestRoundTrip:
         assert report.to_canonical_dict() == d
 
 
-# The single-edit gate, the one tamper test of read-back: every edit of one
-# node of each command's JSON report, and each HAND_PICKED edit.  A node is
+# The tamper tests of read-back: the single-edit gate makes every edit of one
+# node of each command's JSON report, and a second test makes each HAND_PICKED edit
+# of those reports, one row at a time.  A node is
 # deleted; a non-empty list is emptied or its first item doubled; an int is
 # moved by 1 either way, set to 0, to its float or to null; a bool is flipped,
 # "x" is appended to a str and a null set to 1.  Each command maps to its
@@ -479,6 +480,23 @@ HAND_PICKED = [
     ("tri search --max-perimeter 150 --format json", ("bound",), 53),
     ("tri equable --format json", ("bound",), 59),
     ("equable rect --format json", ("bound",), 5),
+    # A bound on a bound-free report, and scan counts no single edit reaches.
+    *((VERIFY, ("bound",), n) for n in (7, 1000)),
+    (RECT, ("shapes_scanned",), 3),
+    ("tri search --max-perimeter 150 --format json", ("shapes_scanned",), 30.0),
+    ("rect enumerate --format json", ("shapes_scanned",), 3),
+    ("tri equable --format json", ("shapes_scanned",), 3),
+    (VERIFY, ("checks", 0, "status"), "maybe"),
+    # Each report relabelled with another family.
+    (RECT, ("family",), "triangles"),
+    ("rect enumerate --format json", ("family",), "verification"),
+    ("tri search --max-perimeter 150 --format json", ("family",), "rectangles"),
+    ("tri equable --format json", ("family",), "equable-rectangles"),
+    ("equable rect --format json", ("family",), "equable-triangles"),
+    (VERIFY, ("family",), "rectangles"),
+    # A true shape record that is not equable, in an equable list.
+    ("equable rect --format json", ("shapes", 0), {"sides": [3, 7], "area": 21, "perimeter": 20}),
+    ("tri equable --format json", ("shapes", 0), {"sides": [3, 4, 5], "area": 6, "perimeter": 12}),
 ]
 
 
@@ -527,18 +545,10 @@ def single_edits(d: dict) -> dict:
 
 @pytest.mark.parametrize("command", GATE_COMMANDS)
 def test_single_edit_rejected_unless_listed(command):
-    """Every single edit of a command's report, and each HAND_PICKED edit of
-    it, raises CertificateError, except those READS_BACK lists with the reason
-    each still reads back."""
-    assert {cmd for cmd, _, _ in HAND_PICKED} <= set(GATE_COMMANDS)
-    d = canonical_report(command)
-    edits = single_edits(d)
+    """Every single edit of a command's report raises CertificateError, except
+    those READS_BACK lists with the reason each still reads back."""
+    edits = single_edits(canonical_report(command))
     assert len(edits) == GATE_COMMANDS[command]
-    for cmd, path, value in HAND_PICKED:
-        key = (path, "reverse" if value is REVERSE else json.dumps(value))
-        if cmd == command:
-            assert key not in edits
-            edits[key] = edited(d, path, value)
     read_back = set()
     for key, edit in edits.items():
         try:
@@ -547,6 +557,33 @@ def test_single_edit_rejected_unless_listed(command):
             continue
         read_back.add(key)
     assert read_back == {(path, edit) for cmd, path, edit, _ in READS_BACK if cmd == command}
+
+
+@functools.cache
+def _single_edit_keys(command: str) -> frozenset:
+    return frozenset(single_edits(canonical_report(command)))
+
+
+def _hand_picked_id(row) -> str:
+    command, path, value = row
+    if value is REVERSE:
+        value = "reversed"
+    elif not path:
+        value = f"a report at bound {value['bound']}"
+    elif isinstance(value, (dict, list)):
+        value = f"a {type(value).__name__} of {len(value)}"
+    else:
+        value = json.dumps(value)
+    return f"{command.removesuffix(' --format json')}: /{'/'.join(map(str, path))} = {value}"
+
+
+@pytest.mark.parametrize("command, path, value", HAND_PICKED, ids=map(_hand_picked_id, HAND_PICKED))
+def test_hand_picked_edit_rejected(command, path, value):
+    """Each HAND_PICKED edit, one the single-edit gate does not make, raises CertificateError."""
+    assert (path, "reverse" if value is REVERSE else json.dumps(value)) not in _single_edit_keys(command)
+    d = canonical_report(command)
+    with pytest.raises(CertificateError):
+        report_from_dict(edited(d, path, value))
 
 
 @functools.cache
