@@ -218,38 +218,19 @@ def two_radical_sum_is_rational(x: int, y: int) -> bool:
 
 
 def three_radical_sum_is_rational(a: int, b: int, c: int) -> bool:
-    """Decide rationality of sqrt(a) + sqrt(b) + sqrt(c) by the squaring identity.
+    """Decide rationality of sqrt(a) + sqrt(b) + sqrt(c) by two tests.
 
-    If the sum equals an integer d, squaring (sqrt(a) + sqrt(b))^2 =
+    If the sum equals a rational d, squaring (sqrt(a) + sqrt(b))^2 =
     (d - sqrt(c))^2 rearranges to
 
         sqrt(a*b) + sqrt(d*d*c) = (d*d + c - a - b) / 2,
 
-    a sum of two roots, which must itself pass the two-root test; peeling
-    sqrt(c) off then leaves the two-root case for a and b.  Any integer the
-    value could equal is bracketed by the floor roots, so only four
-    candidates d need checking.
+    a positive rational sum of two roots.  Their difference is
+    (a*b - d*d*c) over that sum, so each root is rational, and so is
+    sqrt(c): the integer c is a square.  The two-root test then decides
+    sqrt(a) + sqrt(b) = d - sqrt(c); conversely a square c and a rational
+    sqrt(a) + sqrt(b) make the sum rational.
     """
     for n in (a, b, c):
         _require_positive_radicand(n)
-    if not is_perfect_square(a * b):
-        return False
-    lo = isqrt(a) + isqrt(b) + isqrt(c)
-    for d in range(lo, lo + 4):
-        # num > 0 needs no test: n <= r*r + 2*r for the floor root r of each
-        # radicand n, and isqrt(c) >= 1, so d*d >= lo*lo > a + b
-        num = d * d + c - a - b
-        if num % 2:
-            continue
-        if not is_perfect_square(d * d * c):
-            continue
-        if isqrt(a * b) + isqrt(d * d * c) != num // 2:
-            continue
-        # d*d*c being a perfect square with d >= 1 forces c to be one too;
-        # remainder >= isqrt(a) + isqrt(b) >= 2 as d >= lo
-        remainder = d - isqrt(c)
-        if not two_radical_sum_is_rational(a, b):
-            continue
-        if isqrt(a) + isqrt(b) == remainder:
-            return True
-    return False
+    return is_perfect_square(c) and two_radical_sum_is_rational(a, b)

@@ -1,7 +1,8 @@
 """Shape-agnostic amicability matching and certificate-carrying reports.
 
-Shapes of any family reduce to (area, perimeter, shape_id) fingerprints;
-amicable pairs come out of a keyed join instead of a quadratic scan.
+match_amicable joins (area, perimeter, shape_id) fingerprints of any family
+by key instead of a quadratic scan; no search calls it, as rectangle pairs
+come from the partner rule and triangle pairs from match_amicable_triangles.
 A ShapeRecord works out its area and perimeter from its sides;
 search_report builds the report of every search, verify all's checks
 included; reports re-verify every pair and listed shape when assembled,
@@ -274,6 +275,8 @@ def placed_amicably(pairs) -> bool:
         for g, h in (pair, pair[::-1]):
             emb = triangles.embed_triangle(g)
             squares = sorted(s * s for s in g.sides.as_tuple())
+            # the area test is the cross equality tri-pair-cross-equalities
+            # names; the sides imply it only when the pair really is amicable
             if sorted(emb.squared_sides()) != squares or emb.twice_area() != 2 * h.perimeter():
                 return False
     return True
@@ -324,14 +327,15 @@ def search_report(family: str, bound: int | None) -> SearchReport:
     triangle's perimeter), and a verification report, which mixes
     rectangles and triangles, takes none.  A rectangles search with a null
     bound is the exact divisor enumeration, which scans nothing, and one
-    with a bound the brute-force oracle, which scans every canonical
-    rectangle within it; a triangles search scans the heronian triangles
-    within its bound; a verification report runs every check of
-    VERIFICATION_CHECKS.  Equable reports list their shapes, count them as
-    scanned and list no pairs: two equable shapes are never amicable, as
-    that would take equal area = perimeter values, and the closed forms give
-    distinct ones (16 and 18 for rectangles; 24, 30, 36, 42 and 60 for
-    triangles).  A rule or certificate that fails raises CertificateError.
+    with a bound the brute-force oracle, which counts every canonical
+    rectangle within it as scanned but visits only those of area <= 4*bound;
+    a triangles search scans the heronian triangles within its bound; a
+    verification report runs every check of VERIFICATION_CHECKS.  Equable
+    reports list their shapes, count them as scanned and list no pairs: two
+    equable shapes are never amicable, as that would take equal area =
+    perimeter values, and the closed forms give distinct ones (16 and 18 for
+    rectangles; 24, 30, 36, 42 and 60 for triangles).  A rule or certificate
+    that fails raises CertificateError.
     """
     if family not in FAMILIES:
         raise CertificateError(f"unknown family: {family!r}")

@@ -148,7 +148,8 @@ def solve_partner(a: int, x: int) -> PartnerSolution:
         return PartnerSolution("non-integer")
     b = b_num // det
     y = y_num // det
-    if b < 1 or y < 1:
+    # both numerators are positive, so b and y take the determinant's sign
+    if b < 1:
         return PartnerSolution("non-positive")
     return PartnerSolution("solved", b=b, y=y)
 

@@ -187,7 +187,7 @@ class TestRadicalSums:
         assert three_radical_sum_is_rational(81, 225, 144)
         assert not three_radical_sum_is_rational(2, 3, 6)
         assert not three_radical_sum_is_rational(2, 8, 50)
-        # 2 + sqrt(6): at d = 4 every test but the one of d*d*c's root holds
+        # 2 + sqrt(6): sqrt(1) + sqrt(1) is rational, but 6 is not a square
         assert not three_radical_sum_is_rational(1, 1, 6)
 
     def test_bad_radicand(self):

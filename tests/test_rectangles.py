@@ -81,6 +81,17 @@ class TestSmallSideCandidates:
         assert len(calls) <= 2 * 200 + 20
         assert max(r.short for r in calls) == 5
 
+    @pytest.mark.parametrize("max_side, visited", [(200, 1889), (600, 6959)])
+    def test_oracle_visits_only_areas_a_perimeter_can_match(self, monkeypatch, max_side, visited):
+        """brute_force_pairs solves a partner only for the rectangles with area
+        <= 4*max_side, not for all max_side*(max_side + 1)/2 of them."""
+        calls = []
+        real = rect_mod._partner_quadratic
+        monkeypatch.setattr(rect_mod, "_partner_quadratic", lambda a, b: calls.append((a, b)) or real(a, b))
+        brute_force_pairs(max_side)
+        assert len(calls) == len(set(calls)) == visited
+        assert max(a * b for a, b in calls) <= 4 * max_side
+
     def test_odd_area_has_no_partner(self):
         # odd area can never equal an (even) partner perimeter
         for r in (RectSides(3, 3), RectSides(3, 5)):
