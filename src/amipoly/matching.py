@@ -383,10 +383,12 @@ def report_from_dict(d: dict) -> SearchReport:
     try:
         family, bound = d["family"], d["bound"]
         report = search_report(family, bound)
-        same = json.dumps(report.to_canonical_dict(), sort_keys=True) == json.dumps(d, sort_keys=True)
-    except (KeyError, TypeError) as exc:
+        # check_circular=False turns a report that holds itself into the
+        # RecursionError of a deeply nested one, instead of a bare ValueError
+        text = json.dumps(d, sort_keys=True, check_circular=False)
+    except (KeyError, TypeError, RecursionError) as exc:
         raise CertificateError(f"malformed report: {exc!r}") from exc
-    if not same:
+    if json.dumps(report.to_canonical_dict(), sort_keys=True) != text:
         raise CertificateError(
             f"report differs from search_report({family!r}, {bound!r}), which scans "
             f"{report.shapes_scanned} shapes and lists {len(report.pairs)} pairs"

@@ -7,9 +7,9 @@ integer exactly when y*z = m*t^2, which one isqrt per t decides.  The
 walk's work grows about as the square of the perimeter, where a scan over
 side triples grows as its cube.  Amicable partners are matched by an
 (area, perimeter) fingerprint join.  Lattice embeddings come from the
-Gaussian factorisation of the longest side: each lattice point at distance
-c from the origin fixes the third vertex up to a reflection, and it is kept
-when its coordinates are integers.
+Gaussian factorisation of the longest side c, never of c^2: each lattice
+point at distance c from the origin fixes the third vertex up to a
+reflection, and it is kept when its coordinates are integers.
 """
 
 from math import gcd, isqrt
@@ -213,57 +213,37 @@ def _gaussian_mul(u: tuple[int, int], v: tuple[int, int]) -> tuple[int, int]:
     return (u[0] * v[0] - u[1] * v[1], u[0] * v[1] + u[1] * v[0])
 
 
-def _gaussian_powers(z: tuple[int, int], e: int) -> list[tuple[int, int]]:
-    """z^0, z^1, ..., z^e for the Gaussian integer z[0] + z[1]*i."""
-    powers = [(1, 0)]
-    for _ in range(e):
-        powers.append(_gaussian_mul(powers[-1], z))
-    return powers
+def sum_two_squares_reps(c: int) -> list[tuple[int, int]]:
+    """The representations of c^2, for c >= 1: each (x, y) with x^2 + y^2 = c^2, once.
 
-
-def sum_two_squares_reps(n: int) -> list[LatticePoint]:
-    """All (p, q) with p, q >= 0 and p^2 + q^2 = n, sorted by p.
-
-    These are the Gaussian integers of norm n in the closed first quadrant,
-    built from the factorisation of n; a square n is factored through its
-    root, so trial division stops at n^(1/4).  For each p^e exactly dividing
-    n, a prime p = 3 (mod 4) contributes p^(e/2), or rules out every
-    representation when e is odd; p = 2 contributes (1 + i)^e; and a prime
-    p = 1 (mod 4), split as p = pi * conj(pi), contributes one of
-    pi^j * conj(pi)^(e - j) for j = 0..e.  The products of one choice per
-    prime, times each of the four units, are the r2(n) Gaussian integers of
-    norm n, each once.
+    They are the Gaussian integers of norm c^2, built from the factorisation
+    of c, so trial division stops at sqrt(c).  Gaussian integers factor
+    uniquely up to the units 1, i, -1 and -i, so each is a unit times one
+    factor of norm p^(2e) for each p^e exactly dividing c.  A prime
+    p = 1 (mod 4) splits as pi * conj(pi), two primes not associate, and its
+    factors of norm p^(2e), no two associate, are pi^j * conj(pi)^(2e - j) for
+    j = 0..2e: p^e, and p^(e - k) times pi^(2k) or conj(pi)^(2k) for k = 1..e.
+    Any other prime's one such factor is p^e times a unit: a prime
+    p = 3 (mod 4) stays prime, and 2 = -i * (1 + i)^2 with 1 + i prime.  The
+    four units absorb those units, so one factor per prime times each unit
+    gives each Gaussian integer of norm c^2 once.
     """
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if n == 0:
-        return [LatticePoint(0, 0)]
-    if is_perfect_square(n):
-        factors = [(p, 2 * e) for p, e in _factor(isqrt(n))]
-    else:
-        factors = _factor(n)
+    if c < 1:
+        raise ValueError(f"c must be at least 1, got {c}")
     gaussians = [(1, 0)]
-    for p, e in factors:
-        if p % 4 == 3:
-            if e % 2:
-                return []
-            choices = [(p ** (e // 2), 0)]
-        elif p == 2:
-            choices = [_gaussian_powers((1, 1), e)[e]]
-        else:
+    for p, e in _factor(c):
+        choices = [(p**e, 0)]
+        if p % 4 == 1:
             x = 1
             while not is_perfect_square(p - x * x):
                 x += 1
             y = isqrt(p - x * x)
-            powers, bar_powers = _gaussian_powers((x, y), e), _gaussian_powers((x, -y), e)
-            choices = [_gaussian_mul(powers[j], bar_powers[e - j]) for j in range(e + 1)]
+            pi_sq, w = (x * x - y * y, 2 * x * y), (1, 0)
+            for k in range(1, e + 1):
+                w, r = _gaussian_mul(w, pi_sq), p ** (e - k)
+                choices += [(r * w[0], r * w[1]), (r * w[0], -r * w[1])]
         gaussians = [_gaussian_mul(g, h) for g in gaussians for h in choices]
-    return sorted(
-        LatticePoint(x, y)
-        for u, v in gaussians
-        for x, y in ((u, v), (-v, u), (-u, -v), (v, -u))
-        if x >= 0 and y >= 0
-    )
+    return [(x, y) for u, v in gaussians for x, y in ((u, v), (-v, u), (-u, -v), (v, -u))]
 
 
 class TriangleEmbedding(Record):
@@ -302,8 +282,8 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     """Place t on the lattice with v0 at the origin and (v1, v2) least in both vertex orders.
 
     The origin vertex carries the two longest sides.  The candidates are
-    every (p, q) with |p| = c, |q| = b and |p - q| = a.  p ranges over the
-    lattice points with |p| = c, built from the factorisation of c, and for
+    every (p, q) with |p| = c, |q| = b and |p - q| = a.  p ranges over
+    sum_two_squares_reps(c), each lattice point with |p| = c once, and for
     each p the only such q are q = (D*p +- T*p_perp) / c^2, where
     D = (b^2 + c^2 - a^2)/2 = p.q, T = 2*area = |p x q| and
     p_perp = (-p.y, p.x); a candidate is kept when both coordinates of q
@@ -321,17 +301,16 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     c_sq = s.c * s.c
     dot = (s.b * s.b + c_sq - s.a * s.a) // 2
     best = None
-    for r in sum_two_squares_reps(c_sq):
-        for px, py in ((r.x, r.y), (-r.x, r.y), (r.x, -r.y), (-r.x, -r.y)):
-            for cross in (2 * t.area, -2 * t.area):
-                # the two numerators' squares sum to (b*c^2)^2, so c^2 divides
-                # the second whenever it divides the first
-                qx, rx = divmod(dot * px - cross * py, c_sq)
-                qy = (dot * py + cross * px) // c_sq
-                if rx == 0:
-                    key = min((px, py, qx, qy), (qx, qy, px, py))
-                    if best is None or key < best:
-                        best = key
+    for px, py in sum_two_squares_reps(s.c):
+        for cross in (2 * t.area, -2 * t.area):
+            # the two numerators' squares sum to (b*c^2)^2, so c^2 divides
+            # the second whenever it divides the first
+            qx, rx = divmod(dot * px - cross * py, c_sq)
+            qy = (dot * py + cross * px) // c_sq
+            if rx == 0:
+                key = min((px, py, qx, qy), (qx, qy, px, py))
+                if best is None or key < best:
+                    best = key
     if best is None:
         raise AssertionError(f"no lattice placement found for {s}")
     return TriangleEmbedding(t, _ORIGIN, LatticePoint(*best[:2]), LatticePoint(*best[2:]))

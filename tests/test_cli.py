@@ -177,9 +177,9 @@ class TestTriEmbed:
         assert "triangle inequality" in err
 
     def test_square_is_factored_through_its_root(self, capsys, monkeypatch):
-        """sum_two_squares_reps factors a square n as isqrt(n) and any other n
-        whole.  The cap's hardest embedding, a right triangle whose longest side
-        is the prime 999,998,001,157, would otherwise divide c^2 by every
+        """An embedding factors its longest side c once and never c^2.  The
+        cap's hardest case for trial division, a right triangle whose longest
+        side is the prime 999,998,001,157, would otherwise divide c^2 by every
         integer up to c: the spy refuses at once, and this test runs before
         GRAMMAR_CASES' row for the same triangle, which would hang."""
         factored = []
@@ -192,8 +192,7 @@ class TestTriEmbed:
 
         monkeypatch.setattr(tri_mod, "_factor", spy)
         code, _, _ = run_cli(capsys, "tri", "embed", "67999932", "999997998845", "999998001157")
-        tri_mod.sum_two_squares_reps(2 * 65 * 65)
-        assert (code, factored) == (0, [999998001157, 2 * 65 * 65])
+        assert (code, factored) == (0, [999998001157])
 
 
 class TestEquableCommands:
@@ -431,9 +430,14 @@ GRAMMAR_CASES = [
     # tri embed's longest side is capped at 10**12, once the sides make a triangle.
     (["tri", "embed", "600000000000", "800000000000", "1000000000000"], 0, "out", "twice area: 480000000000000000000000"),
     (["tri", "embed", "600000000000", "800000000000", "1000000000001"], 1, "err", "error: A B C must be at most 1000000000000, got 1000000000001"),
-    # A right triangle whose longest side is a prime below the cap: its square
-    # is factored through its root, in about 10**6 trial divisions, not 10**12.
+    # A right triangle whose longest side is a prime below the cap, the hardest
+    # case for trial division: c is factored, never c^2, in about 10**6
+    # trial divisions, not 10**12.
     (["tri", "embed", "67999932", "999997998845", "999998001157"], 0, "out", "twice area: 67999795921596078540"),
+    # The cap's slowest embedding: its longest side is a prime p = 1 (mod 4)
+    # whose two roots both lie near sqrt(p/2), so the search for p = x^2 + y^2
+    # takes about 7 * 10**5 steps.
+    (["tri", "embed", "9899435", "999987890988", "999987891037"], 0, "out", "twice area: 9899315127622791780"),
     # An int token has at most 40 digits, leading zeros included (TestLongTokens has 41).
     (["tri", "search", "--max-perimeter", "0" * 37 + "120"], 0, "out", "bound: 120"),
 ]

@@ -296,6 +296,17 @@ class TestRoundTrip:
             d = canonical_report(command)
             assert report_from_dict(d).to_canonical_dict() == d
 
+    @pytest.mark.parametrize("shape", ["circular", "nested 100000 deep"])
+    def test_unencodable_pairs_rejected(self, shape):
+        d = canonical_report("rect oracle --max-side 60 --format json")
+        if shape == "circular":
+            d["pairs"] = [d]
+        else:
+            for _ in range(100_000):
+                d["pairs"] = [d["pairs"]]
+        with pytest.raises(CertificateError, match="malformed report"):
+            report_from_dict(d)
+
     @pytest.mark.parametrize("scanned", [1, 20_204, 20_206])
     def test_verification_scan_count_re_derived(self, scanned):
         """rect_count(200) = 20,100 rectangles and 105 heronian triangles to perimeter 120."""

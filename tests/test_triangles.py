@@ -26,7 +26,7 @@ from _oracles import (
     naive_embedding_candidates,
     naive_equable_triangles,
     naive_heronian_triples,
-    naive_two_squares,
+    signed_square_sums,
 )
 
 # golden values produced by the definitional brute-force scan, in
@@ -203,37 +203,49 @@ class TestEquableTriangles:
 
 
 class TestSumTwoSquares:
-    def test_twenty_five(self):
-        assert [(p.x, p.y) for p in sum_two_squares_reps(25)] == [
-            (0, 5), (3, 4), (4, 3), (5, 0),
+    """sum_two_squares_reps(c) is every (x, y) with x^2 + y^2 = c^2, each once.
+
+    signed_square_sums lists each point once, so equality with it after a
+    sort also rules out a repeated point."""
+
+    def test_three_four_five(self):
+        assert sorted(sum_two_squares_reps(5)) == [
+            (-5, 0), (-4, -3), (-4, 3), (-3, -4), (-3, 4), (0, -5),
+            (0, 5), (3, -4), (3, 4), (4, -3), (4, 3), (5, 0),
         ]
 
-    def test_two(self):
-        assert [(p.x, p.y) for p in sum_two_squares_reps(2)] == [(1, 1)]
-
-    def test_625(self):
-        got = {(p.x, p.y) for p in sum_two_squares_reps(625)}
-        assert {(7, 24), (15, 20), (20, 15), (24, 7), (0, 25), (25, 0)} <= got
-
-    def test_defining_property(self):
-        for n in range(0, 500):
-            for p in sum_two_squares_reps(n):
-                assert p.x >= 0 and p.y >= 0 and p.x * p.x + p.y * p.y == n
-
-    def test_negative_rejected(self):
-        with pytest.raises(ValueError):
-            sum_two_squares_reps(-1)
+    def test_twenty_five(self):
+        got = sum_two_squares_reps(25)
+        assert len(got) == 20
+        assert {(7, 24), (15, 20), (20, 15), (24, 7), (0, 25), (25, 0), (-7, -24)} <= set(got)
 
     def test_equals_scan(self):
-        # every n up to 20000, then squares of products with repeated primes = 1 (mod 4)
-        big = [m * m for m in (5**3 * 29, 2 * 3 * 5 * 5 * 13 * 37, 7 * 11 * 13 * 13)]
-        for n in (*range(0, 20001), *big, 2**7 * 5**3 * 9 * 13, 3 * 5**4):
-            assert [(p.x, p.y) for p in sum_two_squares_reps(n)] == naive_two_squares(n), n
+        for c in range(1, 3001):
+            assert sorted(sum_two_squares_reps(c)) == signed_square_sums(c * c), c
 
-    def test_signed_squares_equal_sign_completed_scan(self):
-        for m in range(1, 2501):
-            got = [(p.x, p.y) for p in sum_two_squares_reps(m * m)]
-            assert got == naive_two_squares(m * m), m
+    def test_repeated_split_primes_equal_scan(self):
+        for c in (5**3 * 29, 2 * 3 * 5 * 5 * 13 * 37, 7 * 11 * 13 * 13):
+            assert sorted(sum_two_squares_reps(c)) == signed_square_sums(c * c), c
+
+    def test_no_split_prime_leaves_the_axes(self):
+        # 2 and the primes 3 (mod 4) each give c's real factor up to a unit
+        for c in (2**10 * 3 * 7 * 11 * 19 * 23, 2**40, 3**20):
+            assert sorted(sum_two_squares_reps(c)) == [(-c, 0), (0, -c), (0, c), (c, 0)], c
+
+    @pytest.mark.parametrize(
+        "c, count",
+        # r2(c^2) = 4 * prod(2e + 1) over the primes p^e || c with p = 1 (mod 4)
+        [(10**12, 4 * 25), (5**17, 4 * 35), (13**10 * 17 * 3**4, 4 * 21 * 3)],
+    )
+    def test_count_and_norm_beyond_the_scan(self, c, count):
+        got = sum_two_squares_reps(c)
+        assert len(set(got)) == len(got) == count
+        assert all(x * x + y * y == c * c for x, y in got)
+
+    @pytest.mark.parametrize("c", [0, -1, -5])
+    def test_c_below_one_rejected(self, c):
+        with pytest.raises(ValueError, match="c must be at least 1"):
+            sum_two_squares_reps(c)
 
 
 class TestEmbedding:
