@@ -20,7 +20,7 @@ Results go to stdout, diagnostics to stderr.  Exit codes: 0 success,
 result, 3 verification mismatch, 120 stdout could not be written.
 """
 
-import gc
+import atexit
 import os
 import sys
 from functools import partial
@@ -291,22 +291,26 @@ def main(argv=None) -> int:
             text = "".join(",".join(map(str, row)) + "\n" for row in rows)
         else:
             text = "\n".join(lines) + "\n"
+    if sys.stdout is None:  # fd 1 was closed when the interpreter started
+        print("error: cannot write output: stdout is closed", file=sys.stderr)
+        return EXIT_WRITE_FAILED
     try:
         sys.stdout.write(text)
         sys.stdout.flush()
     except OSError as exc:
         print(f"error: cannot write output: {exc}", file=sys.stderr)
-        # what stays buffered now goes to devnull, so the flush at exit cannot fail
-        with open(os.devnull, "wb") as devnull:
-            os.dup2(devnull.fileno(), sys.stdout.fileno())
-        return EXIT_WRITE_FAILED
+        return EXIT_WRITE_FAILED  # what stays buffered fails run's flush too, which keeps 120
     return code
 
 
 def run():
     code = main()
-    # Move every live object to the permanent generation, so the collections
-    # at interpreter shutdown skip what start-up and the imports made.  Unlike
-    # os._exit, sys.exit still runs atexit handlers and flushes stdio.
-    gc.freeze()
-    sys.exit(code)
+    # CPython's exit minus teardown: atexit handlers, the stdio flush (120 if it fails, as in CPython),
+    # then os._exit, skipping module finalisation and __del__: safe, as no thread runs or file is open.
+    atexit._run_exitfuncs()
+    try:
+        for stream in filter(None, (sys.stdout, sys.stderr)):
+            stream.flush()
+    except OSError:
+        code = EXIT_WRITE_FAILED
+    os._exit(code)

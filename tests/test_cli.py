@@ -512,27 +512,64 @@ class TestLongTokens:
 
 class TestProcessPath:
     """`python -m amipoly` (__main__, then cli.run) and `python -c` probes that
-    call cli.run, which freezes the collector and exits with main's code."""
+    call cli.run, which runs the atexit handlers, flushes stdio and ends the
+    process with main's code, skipping interpreter teardown."""
 
-    def run(self, *argv, python=("-m", "amipoly"), stdout=subprocess.PIPE, **env):
+    def run(self, *argv, python=("-m", "amipoly"), stdout=subprocess.PIPE, preexec_fn=None, **env):
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, *python, *argv],
             env=dict(os.environ, PYTHONPATH=path, **env),
             stdout=stdout,
             stderr=subprocess.PIPE,
+            preexec_fn=preexec_fn,
         )
 
-    def probe(self, setup, *argv):
+    def probe(self, setup, *argv, **env):
         """Run setup, then cli.run on argv, in a fresh `python -c`."""
         script = f"import amipoly.cli, sys; {setup}; amipoly.cli.run()"
-        return self.run(*argv, python=("-c", script))
+        return self.run(*argv, python=("-c", script), **env)
 
     def test_run_keeps_atexit_handlers(self):
         marker = "import atexit; atexit.register(sys.stderr.write, 'atexit ran')"
         proc = self.probe(marker, "rect", "enumerate")
         assert proc.returncode == 0
         assert proc.stderr == b"atexit ran"
+
+    def test_run_flushes_after_atexit_handlers(self):
+        """What a handler writes to a buffered stdout (an empty value) reaches
+        it in run's flush, after the report, because handlers run first."""
+        marker = "import atexit; atexit.register(sys.stdout.write, 'atexit ran')"
+        proc = self.probe(marker, "verify", "all", "--format", "json", PYTHONUNBUFFERED="")
+        assert proc.returncode == 0
+        report, ran, tail = proc.stdout.rpartition(b"atexit ran")
+        assert (ran, tail) == (b"atexit ran", b"")
+        assert hashlib.sha256(report).hexdigest() == GOLDEN["verify all --format json"]
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
+    def test_run_failed_flush_exits_120(self):
+        """A handler's buffered write that run's flush cannot make exits 120, as
+        a failed flush at CPython's own exit does; the report was written."""
+        full = (
+            "import atexit, os; atexit.register(lambda: sys.stdout.write('atexit ran')"
+            " and os.dup2(os.open('/dev/full', os.O_WRONLY), 1))"
+        )
+        proc = self.probe(full, "rect", "enumerate", PYTHONUNBUFFERED="")
+        assert proc.returncode == 120
+        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["rect enumerate"]
+        assert b"Traceback" not in proc.stderr
+
+    def test_run_skips_teardown(self):
+        """run ends the process without module finalisation, so an object that
+        one of the program's modules keeps alive never runs its __del__.  Only
+        speed rests on this: sys.exit would print the marker."""
+        keep = (
+            "import os; amipoly.cli.kept = type('Kept', (), "
+            "{'__del__': lambda self, write=os.write: write(2, b'__del__ ran')})()"
+        )
+        proc = self.probe(keep, "rect", "enumerate")
+        assert proc.returncode == 0
+        assert b"__del__ ran" not in proc.stderr
 
     def test_run_verify_all_json(self):
         proc = self.probe("pass", "verify", "all", "--format", "json")
@@ -551,8 +588,9 @@ class TestProcessPath:
         assert proc.returncode == 3
         assert proc.stderr.startswith(b"verification failed: rect-divisor-enumeration-matches-oracle")
 
-    def test_verify_all_json(self):
-        proc = self.run("verify", "all", "--format", "json")
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_verify_all_json(self, unbuffered):
+        proc = self.run("verify", "all", "--format", "json", PYTHONUNBUFFERED=unbuffered)
         assert proc.returncode == 0
         assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["verify all --format json"]
 
@@ -575,6 +613,12 @@ class TestProcessPath:
         assert b"Traceback" not in proc.stderr
         (line,) = proc.stderr.decode().splitlines()
         assert line.startswith("error: cannot write output: ")
+
+    def test_closed_stdout_exits_120(self):
+        """With fd 1 closed at start-up sys.stdout is None: one error line and 120."""
+        proc = self.run("rect", "enumerate", stdout=None, preexec_fn=lambda: os.close(1))
+        assert proc.returncode == 120
+        assert proc.stderr == b"error: cannot write output: stdout is closed\n"
 
     @pytest.mark.parametrize("sides", [["3", "4"], []], ids=["two ints", "no ints"])
     def test_missing_sides_get_a_usage_error(self, sides):
