@@ -305,8 +305,7 @@ def main(argv=None) -> int:
 
 def run():
     code = main()
-    # CPython's exit minus teardown: atexit handlers, the stdio flush (120 if it fails, as in CPython),
-    # then os._exit, skipping module finalisation and __del__: safe, as no thread runs or file is open.
+    # CPython's exit, minus module finalisation and __del__ (safe: no thread runs and no file is open).
     atexit._run_exitfuncs()
     try:
         for stream in filter(None, (sys.stdout, sys.stderr)):
