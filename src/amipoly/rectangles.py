@@ -161,6 +161,15 @@ def _divisors(n: int) -> list[int]:
 def enumerate_by_divisors() -> list[RectAmicablePair]:
     """All amicable rectangle pairs, by divisor case analysis on the short side.
 
+    The list is complete at every size.  Let a x b and x x y be a pair, with
+    a <= b, x <= y and a <= x.  The sum of ab = 2(x + y) and xy = 2(a + b)
+    is (a - 2)(b - 2) + (x - 2)(y - 2) = 8.  If a >= 3, both terms are at
+    least 1, so (a - 2)(b - 2) <= 7: a = 3 with b <= 9, or a = 4 with
+    b <= 5.  Each of those nine rectangles has one possible partner, from
+    _partner_quadratic, and it is none or the rectangle itself (3x6 and 4x4,
+    the equable ones), never a second rectangle.  So a is 1 or 2, exactly
+    the two divisor cases below.
+
     With a = 1 the integrality of y forces x - 4 to divide 18; with a = 2 it
     forces x - 2 to divide 8.  Every divisor d solves: a = 1 gives
     y = 4 + 18/d and b = 2d + 16 + 36/d, and a = 2 gives y = 2 + 8/d and

@@ -1,3 +1,4 @@
+import ast
 import hashlib
 import json
 import os
@@ -180,8 +181,8 @@ class TestTriEmbed:
         """An embedding factors its longest side c once and never c^2.  The
         cap's hardest case for trial division, a right triangle whose longest
         side is the prime 999,998,001,157, would otherwise divide c^2 by every
-        integer up to c: the spy refuses at once, and this test runs before
-        GRAMMAR_CASES' row for the same triangle, which would hang."""
+        integer up to c: the spy refuses at once, in process, and
+        TestProcessPath runs the same triangle in a subprocess bounded at 60 s."""
         factored = []
         real = tri_mod._factor
 
@@ -430,14 +431,6 @@ GRAMMAR_CASES = [
     # tri embed's longest side is capped at 10**12, once the sides make a triangle.
     (["tri", "embed", "600000000000", "800000000000", "1000000000000"], 0, "out", "twice area: 480000000000000000000000"),
     (["tri", "embed", "600000000000", "800000000000", "1000000000001"], 1, "err", "error: A B C must be at most 1000000000000, got 1000000000001"),
-    # A right triangle whose longest side is a prime below the cap, the hardest
-    # case for trial division: c is factored, never c^2, in about 10**6
-    # trial divisions, not 10**12.
-    (["tri", "embed", "67999932", "999997998845", "999998001157"], 0, "out", "twice area: 67999795921596078540"),
-    # The cap's slowest embedding: its longest side is a prime p = 1 (mod 4)
-    # whose two roots both lie near sqrt(p/2), so the search for p = x^2 + y^2
-    # takes about 7 * 10**5 steps.
-    (["tri", "embed", "9899435", "999987890988", "999987891037"], 0, "out", "twice area: 9899315127622791780"),
     # An int token has at most 40 digits, leading zeros included (TestLongTokens has 41).
     (["tri", "search", "--max-perimeter", "0" * 37 + "120"], 0, "out", "bound: 120"),
 ]
@@ -513,9 +506,11 @@ class TestLongTokens:
 class TestProcessPath:
     """`python -m amipoly` (__main__, then cli.run) and `python -c` probes that
     call cli.run, which runs the atexit handlers, flushes stdio and ends the
-    process with main's code, skipping interpreter teardown."""
+    process with main's code, skipping interpreter teardown.  The installed
+    `amipoly` console script takes the same path (test_console_script_is_run)."""
 
-    def run(self, *argv, python=("-m", "amipoly"), stdout=subprocess.PIPE, preexec_fn=None, **env):
+    def run(self, *argv, python=("-m", "amipoly"), stdout=subprocess.PIPE, preexec_fn=None, timeout=60, **env):
+        """A hang fails the one test after timeout seconds (TimeoutExpired)."""
         path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
         return subprocess.run(
             [sys.executable, *python, *argv],
@@ -523,6 +518,7 @@ class TestProcessPath:
             stdout=stdout,
             stderr=subprocess.PIPE,
             preexec_fn=preexec_fn,
+            timeout=timeout,
         )
 
     def probe(self, setup, *argv, **env):
@@ -570,11 +566,6 @@ class TestProcessPath:
         proc = self.probe(keep, "rect", "enumerate")
         assert proc.returncode == 0
         assert b"__del__ ran" not in proc.stderr
-
-    def test_run_verify_all_json(self):
-        proc = self.probe("pass", "verify", "all", "--format", "json")
-        assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["verify all --format json"]
 
     def test_run_no_solution_exits_two(self):
         assert self.probe("pass", "rect", "solve", "-a", "2", "-x", "2").returncode == 2
@@ -626,6 +617,50 @@ class TestProcessPath:
         assert proc.returncode == 1
         assert b"Traceback" not in proc.stderr
         assert proc.stderr.startswith(b"usage: amipoly tri embed A B C")
+
+    @pytest.mark.parametrize(
+        "sides, twice_area",
+        [
+            # A right triangle whose longest side is a prime below the cap, the
+            # hardest case for trial division: c is factored, never c^2, in
+            # about 10**6 trial divisions, not 10**12.
+            ("67999932 999997998845 999998001157", "67999795921596078540"),
+            # The cap's slowest embedding: its longest side is a prime
+            # p = 1 (mod 4) whose two roots both lie near sqrt(p/2), so the
+            # search for p = x^2 + y^2 takes about 7 * 10**5 steps.
+            ("9899435 999987890988 999987891037", "9899315127622791780"),
+        ],
+        ids=["prime hypotenuse", "slowest split"],
+    )
+    def test_capped_embedding_ends_in_time(self, sides, twice_area):
+        proc = self.run("tri", "embed", *sides.split())
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert f"twice area: {twice_area}\n".encode() in proc.stdout
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from Linux's /proc")
+    def test_rectangle_cap_peaks_below_40000_kb(self):
+        """The rectangle oracle holds no table: at its cap the whole process,
+        interpreter included, peaks below 40,000 kB.  The child reads its own
+        VmHWM; ru_maxrss would report the parent's, inherited at exec."""
+        hwm = (
+            "import atexit; atexit.register(lambda: sys.stderr.write("
+            "next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))))"
+        )
+        proc = self.probe(hwm, "rect", "oracle", "--max-side", "20000", "--format", "json")
+        assert proc.returncode == 0
+        assert json.loads(proc.stdout)["bound"] == 20000
+        label, kb, unit = proc.stderr.split()
+        assert (label, unit) == (b"VmHWM:", b"kB")
+        assert int(kb) < 40000
+
+    def test_console_script_is_run(self):
+        """pyproject.toml's `amipoly` script and __main__ both call cli.run, so
+        these `python -m amipoly` runs stand for the installed command.  The
+        script table is read as text: Python 3.10 has no tomllib."""
+        scripts = (SRC.parent / "pyproject.toml").read_text().partition("\n[project.scripts]\n")[2]
+        assert scripts.partition("\n[")[0].strip() == 'amipoly = "amipoly.cli:run"'
+        main_module = ast.parse((SRC / "amipoly" / "__main__.py").read_text())
+        assert ast.dump(main_module) == ast.dump(ast.parse("from .cli import run\nrun()"))
 
 
 def _payload(argv):

@@ -292,9 +292,21 @@ class TestRoundTrip:
         assert ShapeRecord((9, 12, 15)).shape_id == "9x12x15"
 
     def test_every_command_report_reads_back(self):
-        for command in MUTATED_COMMANDS:
+        """At the default bound and at each family's cap too, so no bound a
+        command accepts prints a report that read-back refuses."""
+        for command in (
+            *MUTATED_COMMANDS,
+            "tri search --format json",
+            "tri search --max-perimeter 3000 --format json",
+            "rect oracle --max-side 20000 --format json",
+        ):
             d = canonical_report(command)
             assert report_from_dict(d).to_canonical_dict() == d
+
+    def test_triangle_search_at_1000_reads_back_with_its_counts(self):
+        """3,946 heronian triangles to perimeter 1000, and still the one pair."""
+        report = report_from_dict(canonical_report("tri search --max-perimeter 1000 --format json"))
+        assert (report.shapes_scanned, len(report.pairs)) == (3946, 1)
 
     @pytest.mark.parametrize("shape", ["circular", "nested 100000 deep"])
     def test_unencodable_pairs_rejected(self, shape):

@@ -225,6 +225,15 @@ class TestEnumeration:
     def test_equals_unpruned_join(self, max_side):
         assert as_tuples(brute_force_pairs(max_side)) == naive_rect_pairs(max_side)
 
+    def test_short_sides_above_two_have_no_partner(self):
+        """The completeness proof in enumerate_by_divisors' docstring: with
+        3 <= a <= b, (a - 2)(b - 2) <= 7 leaves nine rectangles, and the only
+        partners among them are the equable 3x6 and 4x4, each itself."""
+        rows = [(a, b) for a in range(3, 30) for b in range(a, 30) if (a - 2) * (b - 2) <= 7]
+        assert rows == [(3, b) for b in range(3, 10)] + [(4, 4), (4, 5)]
+        partners = {row: _partner_quadratic(*row) for row in rows}
+        assert {row: p for row, p in partners.items() if p} == {(3, 6): (3, 6), (4, 4): (4, 4)}
+
     def test_oracle_holds_no_table(self):
         """The oracle keeps only its pairs, nothing per scanned rectangle: 27,952
         rectangles with area <= 8,000 would take megabytes in any table."""
