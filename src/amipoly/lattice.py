@@ -37,11 +37,12 @@ class Record:
 
     Records compare, order and hash by the tuple of their fields, in slot
     order, and only with records of the same class, so a record never equals
-    a bare tuple.  Assigning an attribute raises AttributeError: a subclass
-    validates its arguments in __init__ and stores each field with
-    self._store(name, value).  Plain classes, not dataclasses: importing
-    dataclasses and generating the classes took longer than most commands'
-    compute.
+    a bare tuple.  Assigning an attribute raises AttributeError.  A plain
+    record is declared by its __slots__ alone and takes its fields
+    positionally, in slot order; a class that checks its fields defines
+    __init__ and stores each field with self._store(name, value).  Plain
+    classes, not dataclasses: importing dataclasses and generating the
+    classes took longer than most commands' compute.
     """
 
     __slots__ = ()
@@ -51,6 +52,12 @@ class Record:
         # The fields as a tuple; a lone field comes bare, which orders and
         # hashes alike within a class.
         cls._key = operator.attrgetter(*cls.__slots__)
+
+    def __init__(self, *fields):
+        if len(fields) != len(self.__slots__):
+            raise TypeError(f"{type(self).__name__} takes {len(self.__slots__)} fields, got {len(fields)}")
+        for name, value in zip(self.__slots__, fields):
+            self._store(name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
@@ -86,12 +93,6 @@ class LatticePoint(Record):
             raise TypeError("lattice coordinates must be integers")
         self._store("x", x)
         self._store("y", y)
-
-    def __sub__(self, other: "LatticePoint") -> "LatticePoint":
-        return LatticePoint(self.x - other.x, self.y - other.y)
-
-    def norm_sq(self) -> int:
-        return self.x * self.x + self.y * self.y
 
 
 class LatticePolygon(Record):
@@ -138,7 +139,7 @@ def twice_area(poly: LatticePolygon) -> int:
 
 def squared_side_lengths(poly: LatticePolygon) -> list[int]:
     """Squared length of every edge, in vertex order."""
-    return [(q - p).norm_sq() for p, q in poly.edges()]
+    return [(q.x - p.x) ** 2 + (q.y - p.y) ** 2 for p, q in poly.edges()]
 
 
 def _require_countable(poly: LatticePolygon) -> int:

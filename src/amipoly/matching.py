@@ -75,11 +75,6 @@ class ShapeFingerprint(Record):
 
     __slots__ = ("area", "perimeter", "shape_id")
 
-    def __init__(self, area: int, perimeter: int, shape_id: str):
-        self._store("area", area)
-        self._store("perimeter", perimeter)
-        self._store("shape_id", shape_id)
-
 
 class ShapeRecord(Record):
     """A shape given by its canonical sorted sides, with the area and perimeter they give.
@@ -171,22 +166,6 @@ class SearchReport(Record):
 
     __slots__ = ("family", "bound", "shapes_scanned", "pairs", "shapes", "checks")
 
-    def __init__(
-        self,
-        family: str,
-        bound: int | None,
-        shapes_scanned: int,
-        pairs: tuple[tuple[ShapeRecord, ShapeRecord], ...],
-        shapes: tuple[ShapeRecord, ...] = (),
-        checks: tuple[tuple[str, bool], ...] = (),
-    ):
-        self._store("family", family)
-        self._store("bound", bound)
-        self._store("shapes_scanned", shapes_scanned)
-        self._store("pairs", pairs)
-        self._store("shapes", shapes)
-        self._store("checks", checks)
-
     def to_canonical_dict(self) -> dict:
         out = {
             "family": self.family,
@@ -245,14 +224,7 @@ def assemble_report(
     keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if equable else ()
     if len(set(normalized)) < len(normalized) or len(set(keep_shapes)) < len(keep_shapes):
         raise CertificateError(f"repeated pair or shape in a {family} report")
-    return SearchReport(
-        family=family,
-        bound=bound,
-        shapes_scanned=shapes_scanned,
-        pairs=tuple(normalized),
-        shapes=keep_shapes,
-        checks=tuple(checks),
-    )
+    return SearchReport(family, bound, shapes_scanned, tuple(normalized), keep_shapes, tuple(checks))
 
 
 def _rect_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:

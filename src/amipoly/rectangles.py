@@ -110,15 +110,10 @@ def small_side_candidates(max_side: int) -> list[int]:
 
 
 class PartnerSolution(Record):
-    """Outcome of solving the amicability system for fixed short sides a and x."""
+    """Outcome of solving the amicability system for fixed short sides a and x: a status
+    ("solved", "singular", "non-integer" or "non-positive") and b and y, None unless solved."""
 
     __slots__ = ("status", "b", "y")
-
-    def __init__(self, status: str, b: int | None = None, y: int | None = None):
-        # status is "solved", "singular", "non-integer" or "non-positive"
-        self._store("status", status)
-        self._store("b", b)
-        self._store("y", y)
 
     @property
     def solved(self) -> bool:
@@ -141,17 +136,17 @@ def solve_partner(a: int, x: int) -> PartnerSolution:
         raise ValueError("side lengths must be positive integers")
     det = a * x - 4
     if det == 0:
-        return PartnerSolution("singular")
+        return PartnerSolution("singular", None, None)
     b_num = 2 * x * x + 4 * a
     y_num = 2 * a * a + 4 * x
     if b_num % det or y_num % det:
-        return PartnerSolution("non-integer")
+        return PartnerSolution("non-integer", None, None)
     b = b_num // det
     y = y_num // det
     # both numerators are positive, so b and y take the determinant's sign
     if b < 1:
-        return PartnerSolution("non-positive")
-    return PartnerSolution("solved", b=b, y=y)
+        return PartnerSolution("non-positive", None, None)
+    return PartnerSolution("solved", b, y)
 
 
 def _divisors(n: int) -> list[int]:

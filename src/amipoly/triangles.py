@@ -14,9 +14,7 @@ reflection, and it is kept when its coordinates are integers.
 
 from math import gcd, isqrt
 
-from .lattice import (
-    LatticePoint, LatticePolygon, Record, is_perfect_square, squared_side_lengths, twice_area
-)
+from .lattice import LatticePoint, LatticePolygon, Record, squared_side_lengths, twice_area
 
 _ORIGIN = LatticePoint(0, 0)
 
@@ -227,6 +225,21 @@ def sum_two_squares_reps(c: int) -> list[tuple[int, int]]:
     p = 3 (mod 4) stays prime, and 2 = -i * (1 + i)^2 with 1 + i prime.  The
     four units absorb those units, so one factor per prime times each unit
     gives each Gaussian integer of norm c^2 once.
+
+    pi = x + y*i comes from p = x^2 + y^2, found by Brillhart's method (Math.
+    Comp. 26, 1972), not by a search over x.  Half the units mod p are
+    non-residues; Euler's criterion, m^((p - 1)/2) = -1 (mod p), finds the
+    least, m (at most 41 for every such p below 2 * 10^6), and then
+    t = m^((p - 1)/4) has t^2 = -1 (mod p) and 0 < t < p.  Euclid's
+    algorithm on r_0 = p and r_1 = t, with q_k = r_(k-1) // r_k and
+    r_(k+1) = r_(k-1) - q_k*r_k, takes O(log p) steps and carries u_0 = 0,
+    u_1 = 1 and u_(k+1) = u_(k-1) - q_k*u_k.  By induction r_k = u_k*t
+    (mod p), the u_k alternate in sign, and r_(k-1)*|u_k| + r_k*|u_(k-1)|
+    stays p.  Let r_k be the first remainder with r_k^2 < p.  It is at least
+    1, as Euclid reaches gcd(p, t) = 1 before 0, and k >= 1 with
+    r_(k-1)^2 > p, as p is no square, so |u_k| <= p/r_(k-1) < sqrt(p).  Then
+    r_k^2 + u_k^2 = u_k^2*(t^2 + 1) = 0 (mod p) lies strictly between 0 and
+    2p: it is p, and p - r_k^2 is the square u_k^2.
     """
     if c < 1:
         raise ValueError(f"c must be at least 1, got {c}")
@@ -234,9 +247,12 @@ def sum_two_squares_reps(c: int) -> list[tuple[int, int]]:
     for p, e in _factor(c):
         choices = [(p**e, 0)]
         if p % 4 == 1:
-            x = 1
-            while not is_perfect_square(p - x * x):
-                x += 1
+            m = 2
+            while pow(m, (p - 1) // 2, p) != p - 1:
+                m += 1
+            y, x = p, pow(m, (p - 1) // 4, p)
+            while x * x > p:
+                y, x = x, y % x
             y = isqrt(p - x * x)
             pi_sq, w = (x * x - y * y, 2 * x * y), (1, 0)
             for k in range(1, e + 1):

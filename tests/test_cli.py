@@ -625,9 +625,9 @@ class TestProcessPath:
             # hardest case for trial division: c is factored, never c^2, in
             # about 10**6 trial divisions, not 10**12.
             ("67999932 999997998845 999998001157", "67999795921596078540"),
-            # The cap's slowest embedding: its longest side is a prime
-            # p = 1 (mod 4) whose two roots both lie near sqrt(p/2), so the
-            # search for p = x^2 + y^2 takes about 7 * 10**5 steps.
+            # Its longest side is a prime p = 1 (mod 4) whose two roots both
+            # lie near sqrt(p/2): a search over x for p = x^2 + y^2 takes about
+            # 7 * 10**5 steps, where Brillhart's Euclid run takes 3.
             ("9899435 999987890988 999987891037", "9899315127622791780"),
         ],
         ids=["prime hypotenuse", "slowest split"],

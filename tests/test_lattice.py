@@ -22,8 +22,8 @@ from amipoly.lattice import (
     _require_countable,
 )
 
-from amipoly.matching import ShapeRecord
-from amipoly.rectangles import RectSides
+from amipoly.matching import SearchReport, ShapeFingerprint, ShapeRecord
+from amipoly.rectangles import PartnerSolution, RectSides
 from amipoly.triangles import HeronianTriangle, TriangleSides
 
 from _oracles import LATTICE_MAPS, direct_boundary_count, direct_interior_count, floor_sqrt_scaled
@@ -299,6 +299,12 @@ def test_any_non_square_radicand_makes_sum_irrational(radicands, non_square):
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
+
+def plain(cls, *fields):
+    """A record of a class with the default constructor, and the fields it was given."""
+    return cls(*fields), fields
+
+
 # Two records of each class, given in field-tuple order, and the fields of each.
 RECORD_CASES = {
     "RectSides": lambda: [(RectSides(2, 13), (2, 13)), (RectSides(3, 10), (3, 10))],
@@ -313,6 +319,18 @@ RECORD_CASES = {
     "ShapeRecord": lambda: [
         (ShapeRecord((1, 34)), ((1, 34), 34, 70)),
         (ShapeRecord((7, 10)), ((7, 10), 70, 34)),
+    ],
+    "ShapeFingerprint": lambda: [
+        plain(ShapeFingerprint, 18, 18, "equable-rectangles:3x6"),
+        plain(ShapeFingerprint, 34, 70, "rectangles:1x34"),
+    ],
+    "PartnerSolution": lambda: [
+        plain(PartnerSolution, "non-integer", None, None),
+        plain(PartnerSolution, "solved", 10, 13),
+    ],
+    "SearchReport": lambda: [
+        plain(SearchReport, "equable-rectangles", 6, 2, (), (ShapeRecord((3, 6)), ShapeRecord((4, 4))), ()),
+        plain(SearchReport, "rectangles", None, 0, ((ShapeRecord((1, 34)), ShapeRecord((7, 10))),), (), ()),
     ],
 }
 
@@ -389,3 +407,5 @@ class TestRecords:
             TriangleSides(1, 2, 3)
         with pytest.raises(ValueError):
             HeronianTriangle(TriangleSides(5, 5, 6), 13)
+        with pytest.raises(TypeError, match="ShapeFingerprint takes 3 fields, got 2"):
+            ShapeFingerprint(1, 2)

@@ -147,10 +147,10 @@ class TestClosedForm:
         assert ((sol.b, sol.y) if sol.solved else None) == expected
 
     def test_statuses(self):
-        assert solve_partner(1, 4) == PartnerSolution("singular")
-        assert solve_partner(1, 1) == PartnerSolution("non-positive")
-        assert solve_partner(3, 4) == PartnerSolution("non-integer")
-        assert solve_partner(3, 2) == PartnerSolution("solved", b=10, y=13)
+        assert solve_partner(1, 4) == PartnerSolution("singular", None, None)
+        assert solve_partner(1, 1) == PartnerSolution("non-positive", None, None)
+        assert solve_partner(3, 4) == PartnerSolution("non-integer", None, None)
+        assert solve_partner(3, 2) == PartnerSolution("solved", 10, 13)
 
     @pytest.mark.parametrize("a, x", [(0, 5), (1, 0)])
     def test_rejects_nonpositive_input(self, a, x):

@@ -1,5 +1,7 @@
 import ast
 import itertools
+import sys
+from collections import Counter
 from math import isqrt
 from pathlib import Path
 
@@ -241,6 +243,29 @@ class TestSumTwoSquares:
         got = sum_two_squares_reps(c)
         assert len(set(got)) == len(got) == count
         assert all(x * x + y * y == c * c for x, y in got)
+
+    def test_split_is_not_a_search(self):
+        """Both capped embeddings' longest sides are primes p = 5 (mod 8), for
+        which 2 is a non-residue: each split takes one Euler test, one root and
+        a Euclid run.  A search over x = 1, 2, ... would make about 1.4 * 10**6
+        calls here, and the profile hook sees every Python and C call, whatever
+        form a search would take."""
+        calls = Counter()
+
+        def count(frame, event, arg):
+            if event == "call":
+                calls[frame.f_code.co_name] += 1
+            elif event == "c_call":
+                calls[arg.__name__] += 1
+
+        sys.setprofile(count)
+        try:
+            for c in (999987891037, 999998001157):
+                sum_two_squares_reps(c)
+        finally:
+            sys.setprofile(None)
+        assert calls["pow"] == 4
+        assert sum(calls.values()) < 50, calls
 
     @pytest.mark.parametrize("c", [0, -1, -5])
     def test_c_below_one_rejected(self, c):
