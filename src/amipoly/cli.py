@@ -160,17 +160,17 @@ def cmd_tri_embed(sides: TriangleSides):
         "status": "embedded",
         "area": heronian.area,
         "perimeter": heronian.perimeter(),
-        "vertices": [[p.x, p.y] for p in vertices],
+        "vertices": [list(p) for p in vertices],
         "twice_area": twice,
         "squared_sides": squared,
     }
     rows = [
         ["a", "b", "c", "x0", "y0", "x1", "y1", "x2", "y2", "twice_area"],
-        [*sides.as_tuple(), *(n for p in vertices for n in (p.x, p.y)), twice],
+        [*sides.as_tuple(), *(n for p in vertices for n in p), twice],
     ]
     lines = [
         f"triangle: {sides}  (area {heronian.area}, perimeter {heronian.perimeter()})",
-        "vertices: " + " ".join(f"({p.x},{p.y})" for p in vertices),
+        "vertices: " + " ".join(f"({x},{y})" for x, y in vertices),
         f"twice area: {twice}",
         "squared sides: " + " ".join(str(s) for s in squared),
     ]

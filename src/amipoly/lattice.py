@@ -79,36 +79,26 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
-class LatticePoint(Record):
-    """A point of the integer lattice.
-
-    Coordinates are plain Python integers, so arithmetic is exact at any
-    magnitude; there is no silent wraparound to guard against.
-    """
-
-    __slots__ = ("x", "y")
-
-    def __init__(self, x: int, y: int):
-        if type(x) is not int or type(y) is not int:
-            raise TypeError("lattice coordinates must be integers")
-        self._store("x", x)
-        self._store("y", y)
-
-
 class LatticePolygon(Record):
     """A polygon with vertices on the integer lattice, in boundary order.
 
-    Consecutive vertices must be distinct.  Simplicity (no self
-    intersection) is required by the point-counting operations.  A triangle
-    or 4-gon with axis-parallel edges and nonzero area is always simple (see
-    _require_countable); for anything else it is a documented caller
-    obligation.
+    Each vertex is an (x, y) pair of Python ints, so arithmetic is exact at
+    any magnitude.  Consecutive vertices must be distinct.  Simplicity (no
+    self intersection) is required by the point-counting operations, which
+    reject twice_area 0.  A nondegenerate triangle is always simple, and so
+    is a nondegenerate 4-gon with axis-parallel edges: four nonzero
+    axis-parallel edges that close up either alternate axes, which makes a
+    rectangle, or else lie on one line or retrace an edge, which leaves
+    twice_area 0.  Any other polygon relies on the documented simplicity
+    precondition.
     """
 
     __slots__ = ("vertices",)
 
-    def __init__(self, vertices: tuple[LatticePoint, ...]):
-        vertices = tuple(vertices)
+    def __init__(self, vertices):
+        vertices = tuple((x, y) for x, y in vertices)
+        if any(type(n) is not int for v in vertices for n in v):
+            raise TypeError("lattice coordinates must be integers")
         if len(vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
         n = len(vertices)
@@ -119,7 +109,7 @@ class LatticePolygon(Record):
 
     @classmethod
     def from_coords(cls, coords) -> "LatticePolygon":
-        return cls(tuple(LatticePoint(x, y) for x, y in coords))
+        return cls(coords)
 
     def edges(self):
         n = len(self.vertices)
@@ -132,42 +122,26 @@ def twice_area(poly: LatticePolygon) -> int:
     Total on all polygons; a degenerate (collinear) input simply yields 0.
     """
     s = 0
-    for p, q in poly.edges():
-        s += p.x * q.y - q.x * p.y
+    for (px, py), (qx, qy) in poly.edges():
+        s += px * qy - qx * py
     return abs(s)
 
 
 def squared_side_lengths(poly: LatticePolygon) -> list[int]:
     """Squared length of every edge, in vertex order."""
-    return [(q.x - p.x) ** 2 + (q.y - p.y) ** 2 for p, q in poly.edges()]
-
-
-def _require_countable(poly: LatticePolygon) -> int:
-    """Validate the preconditions of the point-counting operations.
-
-    Returns twice_area.  A nondegenerate triangle is automatically simple,
-    and so is a nondegenerate 4-gon with axis-parallel edges: four nonzero
-    axis-parallel edges that close up either alternate axes, which makes a
-    rectangle, or else lie on one line or retrace an edge, which leaves
-    twice_area 0.  Any other polygon relies on the documented simplicity
-    precondition.
-    """
-    doubled = twice_area(poly)
-    if doubled == 0:
-        raise ValueError("degenerate polygon: twice_area is 0")
-    return doubled
+    return [(qx - px) ** 2 + (qy - py) ** 2 for (px, py), (qx, qy) in poly.edges()]
 
 
 def boundary_point_count(poly: LatticePolygon) -> int:
     """Number of lattice points on the boundary: sum of gcd(|dx|, |dy|) over edges."""
-    _require_countable(poly)
-    return sum(gcd(abs(q.x - p.x), abs(q.y - p.y)) for p, q in poly.edges())
+    if twice_area(poly) == 0:
+        raise ValueError("degenerate polygon: twice_area is 0")
+    return sum(gcd(abs(qx - px), abs(qy - py)) for (px, py), (qx, qy) in poly.edges())
 
 
 def interior_point_count(poly: LatticePolygon) -> int:
     """Number of interior lattice points via Pick: 2*Area = 2*I + B - 2."""
-    doubled = _require_countable(poly)
-    return (doubled - boundary_point_count(poly) + 2) // 2
+    return (twice_area(poly) - boundary_point_count(poly) + 2) // 2
 
 
 def _require_positive_radicand(n: int):

@@ -114,22 +114,6 @@ class ShapeRecord(Record):
         return {"sides": list(self.sides), "area": self.area, "perimeter": self.perimeter}
 
 
-def _check_shape(rec: ShapeRecord, family: str, bound: int | None):
-    """rec may be listed in a family's report within the bound.
-
-    FAMILIES fixes the side count and whether area = perimeter; a non-null
-    bound holds a rectangle's long side or a triangle's perimeter.
-    """
-    n_sides, equable, _ = FAMILIES[family]
-    if n_sides is not None and len(rec.sides) != n_sides:
-        raise CertificateError(f"a {family} report cannot list {rec.shape_id}")
-    if equable and rec.area != rec.perimeter:
-        raise CertificateError(f"{rec.shape_id} is claimed equable but is not")
-    size = rec.sides[-1] if len(rec.sides) == 2 else rec.perimeter
-    if bound is not None and size > bound:
-        raise CertificateError(f"{rec.shape_id} lies beyond the bound {bound}")
-
-
 def match_amicable(
     shapes: list[ShapeFingerprint],
 ) -> list[tuple[ShapeFingerprint, ShapeFingerprint]]:
@@ -207,14 +191,18 @@ def assemble_report(
     count for the family, a non-equable shape in an equable family or a
     shape beyond a non-null bound aborts assembly.
     """
-    equable = FAMILIES[family][1]
-    for rec in shapes:
-        _check_shape(rec, family, bound)
+    n_sides, equable, _ = FAMILIES[family]
+    for rec in [*shapes, *(rec for pair in pairs for rec in pair)]:
+        if n_sides is not None and len(rec.sides) != n_sides:
+            raise CertificateError(f"a {family} report cannot list {rec.shape_id}")
+        if equable and rec.area != rec.perimeter:
+            raise CertificateError(f"{rec.shape_id} is claimed equable but is not")
+        size = rec.sides[-1] if len(rec.sides) == 2 else rec.perimeter  # what a bound holds
+        if bound is not None and size > bound:
+            raise CertificateError(f"{rec.shape_id} lies beyond the bound {bound}")
     normalized = []
     for a, b in pairs:
         first, second = sorted((a, b), key=lambda r: r.sides)
-        _check_shape(first, family, bound)
-        _check_shape(second, family, bound)
         if first.sides == second.sides:
             raise CertificateError(f"self pair: {first.shape_id}")
         if first.area != second.perimeter or second.area != first.perimeter:

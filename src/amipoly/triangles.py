@@ -14,9 +14,9 @@ reflection, and it is kept when its coordinates are integers.
 
 from math import gcd, isqrt
 
-from .lattice import LatticePoint, LatticePolygon, Record, squared_side_lengths, twice_area
+from .lattice import LatticePolygon, Record, squared_side_lengths, twice_area
 
-_ORIGIN = LatticePoint(0, 0)
+_ORIGIN = (0, 0)
 
 
 class TriangleSides(Record):
@@ -267,9 +267,7 @@ class TriangleEmbedding(Record):
 
     __slots__ = ("triangle", "v0", "v1", "v2")
 
-    def __init__(
-        self, triangle: HeronianTriangle, v0: LatticePoint, v1: LatticePoint, v2: LatticePoint
-    ):
+    def __init__(self, triangle: HeronianTriangle, v0, v1, v2):
         self._store("triangle", triangle)
         self._store("v0", v0)
         self._store("v1", v1)
@@ -281,7 +279,7 @@ class TriangleEmbedding(Record):
         if sorted(self.squared_sides()) != want:
             raise ValueError(f"embedding does not realise the sides {sides}")
 
-    def vertices(self) -> tuple[LatticePoint, LatticePoint, LatticePoint]:
+    def vertices(self):
         return (self.v0, self.v1, self.v2)
 
     def as_polygon(self) -> LatticePolygon:
@@ -302,10 +300,10 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     sum_two_squares_reps(c), each lattice point with |p| = c once, and for
     each p the only such q are q = (D*p +- T*p_perp) / c^2, where
     D = (b^2 + c^2 - a^2)/2 = p.q, T = 2*area = |p x q| and
-    p_perp = (-p.y, p.x); a candidate is kept when both coordinates of q
-    divide exactly.  D is an integer because a heronian perimeter is even.
-    The placement returned has the least key (v1.x, v1.y, v2.x, v2.y) over
-    the candidates (p, q) and their swaps (q, p).  Each of the 8 lattice
+    p_perp = (-py, px) for p = (px, py); a candidate is kept when both
+    coordinates of q divide exactly.  D is an integer because a heronian
+    perimeter is even.  The placement returned has the least key (*v1, *v2)
+    over the candidates (p, q) and their swaps (q, p).  Each of the 8 lattice
     symmetries is an integer orthogonal map, so it keeps the three lengths
     and integral coordinates and maps the candidates onto themselves: the
     least candidate is already least over the mirror images of every
@@ -329,4 +327,4 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
                     best = key
     if best is None:
         raise AssertionError(f"no lattice placement found for {s}")
-    return TriangleEmbedding(t, _ORIGIN, LatticePoint(*best[:2]), LatticePoint(*best[2:]))
+    return TriangleEmbedding(t, _ORIGIN, best[:2], best[2:])

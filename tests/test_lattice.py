@@ -8,9 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from amipoly.lattice import (
-    LatticePoint,
     LatticePolygon,
     RadicalSum,
+    Record,
     boundary_point_count,
     interior_point_count,
     is_perfect_square,
@@ -19,7 +19,6 @@ from amipoly.lattice import (
     three_radical_sum_is_rational,
     twice_area,
     two_radical_sum_is_rational,
-    _require_countable,
 )
 
 from amipoly.matching import SearchReport, ShapeFingerprint, ShapeRecord
@@ -93,7 +92,7 @@ class TestPointCounts:
             interior_point_count(degenerate)
 
     def test_axis_parallel_4gons_are_rectangles_or_degenerate(self):
-        # _require_countable has no rectangle test of its own: every axis-parallel
+        # the point counts have no rectangle test of their own: every axis-parallel
         # 4-gon on the grid is a rectangle or is rejected for its zero area.
         grid = [(x, y) for x in range(-2, 3) for y in range(-2, 3)]
         along_axis = {p: [q for q in grid if q != p and (q[0] == p[0] or q[1] == p[1])] for p in grid}
@@ -106,7 +105,7 @@ class TestPointCounts:
                             continue
                         vertices = (v0, v1, v2, v3)
                         try:
-                            _require_countable(LatticePolygon.from_coords(vertices))
+                            boundary_point_count(LatticePolygon.from_coords(vertices))
                         except ValueError as exc:
                             assert str(exc) == "degenerate polygon: twice_area is 0"
                             kinds["degenerate"] += 1
@@ -142,14 +141,16 @@ class TestPolygonValidation:
         with pytest.raises(ValueError):
             LatticePolygon.from_coords([(0, 0), (1, 0), (0, 0)])
 
+    @pytest.mark.parametrize("build", [LatticePolygon.from_coords, LatticePolygon])
     @pytest.mark.parametrize("x, y", [(0.5, 1), (1, 2.0)])
-    def test_non_integer_coordinates(self, x, y):
-        with pytest.raises(TypeError):
-            LatticePoint(x, y)
+    def test_non_integer_coordinates(self, build, x, y):
+        with pytest.raises(TypeError, match="lattice coordinates must be integers"):
+            build([(0, 0), (x, y), (0, 3)])
 
-    def test_bool_coordinates(self):
-        with pytest.raises(TypeError):
-            LatticePoint(True, False)
+    @pytest.mark.parametrize("build", [LatticePolygon.from_coords, LatticePolygon])
+    def test_bool_coordinates(self, build):
+        with pytest.raises(TypeError, match="lattice coordinates must be integers"):
+            build([(0, 0), (True, False), (0, 3)])
 
 
 class TestRadicalSums:
@@ -270,7 +271,7 @@ def test_symmetry_invariance(ax, ay, bx, by, cx, cy, sym, tx, ty):
         return
     poly = tri(*verts)
     moved = LatticePolygon.from_coords(
-        (x + tx, y + ty) for x, y in (sym(v.x, v.y) for v in poly.vertices)
+        (x + tx, y + ty) for x, y in (sym(*v) for v in poly.vertices)
     )
     assert twice_area(moved) == twice_area(poly)
     assert sorted(squared_side_lengths(moved)) == sorted(squared_side_lengths(poly))
@@ -362,7 +363,10 @@ class TestRecords:
             assert tuple(getattr(record, field) for field in type(record).__slots__) == fields
 
     def test_unequal_across_classes_with_equal_fields(self):
-        assert RectSides(2, 13) != LatticePoint(2, 13)
+        class Pair(Record):
+            __slots__ = ("short", "long")
+
+        assert RectSides(2, 13) != Pair(2, 13)
 
     @pytest.mark.parametrize("name", RECORD_CASES)
     def test_assignment_raises(self, name):

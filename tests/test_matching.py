@@ -191,12 +191,14 @@ class TestAssembleReport:
             ("triangles", 100, [], [((1, 34), (7, 10))]),
             ("rectangles", 100, [], [((1, 34), (7, 10))] * 2),
             ("rectangles", 10, [(3, 4, 5)], []),
+            ("rectangles", 100, [], [((4, 8), (4, 13, 15))]),  # amicable: 32, 24 and 24, 32
             ("equable-rectangles", 10, [(2, 3)], []),
             ("equable-rectangles", 10, [(4, 4)] * 2, []),
         ],
         ids=["cross-equalities-fail", "self-pair", "only-first-area-crosses",
              "only-second-area-crosses", "rectangles-in-triangles-report", "repeated-pair",
-             "triangle-in-rectangles-report", "not-equable", "repeated-shape"],
+             "triangle-in-rectangles-report", "triangle-second-in-rectangles-report",
+             "not-equable", "repeated-shape"],
     )
     def test_false_certificate_rejected(self, family, bound, shapes, pairs):
         shapes = [ShapeRecord(sides) for sides in shapes]
@@ -224,11 +226,19 @@ class TestAssembleReport:
         report = assemble_report("rectangles", 10, [ShapeRecord((2, 3))], [], 55)
         assert report.shapes == ()
 
-    def test_rectangle_measured_by_its_long_side(self):
-        # 1x34's short side is within the bound; its long side is not
-        pair = (ShapeRecord((1, 34)), ShapeRecord((7, 10)))
-        with pytest.raises(CertificateError, match="1x34 lies beyond the bound 20"):
-            assemble_report("rectangles", 20, [], [pair], 210)
+    @pytest.mark.parametrize(
+        "pair, bound, message",
+        [
+            (((1, 34), (7, 10)), 20, "1x34 lies beyond the bound 20"),
+            (((1, 34), (8, 40)), 35, "8x40 lies beyond the bound 35"),
+        ],
+        ids=["first", "second"],
+    )
+    def test_rectangle_measured_by_its_long_side(self, pair, bound, message):
+        # every short side is within the bound; the named rectangle's long side is not
+        pair = tuple(ShapeRecord(sides) for sides in pair)
+        with pytest.raises(CertificateError, match=message):
+            assemble_report("rectangles", bound, [], [pair], 210)
 
     def test_deterministic_serialisation(self):
         pairs = [(ShapeRecord((1, 34)), ShapeRecord((7, 10)))]
