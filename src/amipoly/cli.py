@@ -26,9 +26,8 @@ import sys
 from functools import partial
 
 from . import rectangles, triangles
-from .matching import (
-    BOUNDS, FAMILIES, RECT_MAX_SIDE, TRI_MAX_PERIMETER, CertificateError, ShapeRecord, search_report,
-)
+from .lattice import CertificateError
+from .matching import BOUNDS, FAMILIES, RECT_MAX_SIDE, TRI_MAX_PERIMETER, ShapeRecord, search_report
 from .triangles import TriangleSides
 
 EXIT_OK = 0
@@ -154,7 +153,7 @@ def cmd_tri_embed(sides: TriangleSides):
         line = f"{sides}: not heronian (16*Area^2 = {sixteen_area_sq})"
         return EXIT_NO_RESULT, payload, [header, row], [line]
     emb = triangles.embed_triangle(heronian)
-    vertices, twice, squared = emb.vertices(), emb.twice_area(), emb.squared_sides()
+    vertices, twice, squared = emb.vertices, emb.twice_area(), emb.squared_sides()
     payload = {
         "sides": list(sides.as_tuple()),
         "status": "embedded",

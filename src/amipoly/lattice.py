@@ -19,6 +19,10 @@ def is_perfect_square(n: int) -> bool:
     return r * r == n
 
 
+class CertificateError(ValueError):
+    """A pair, shape, area or placement certificate did not hold when checked."""
+
+
 def _by_fields(compare):
     """A comparison method that applies compare to the fields of two records of
     the same class, and defers on anything else."""
@@ -114,6 +118,12 @@ class LatticePolygon(Record):
     def edges(self):
         n = len(self.vertices)
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
+
+    def squared_sides(self) -> list[int]:
+        return squared_side_lengths(self)
+
+    def twice_area(self) -> int:
+        return twice_area(self)
 
 
 def twice_area(poly: LatticePolygon) -> int:

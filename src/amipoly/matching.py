@@ -12,7 +12,7 @@ trusted blindly.
 """
 
 from . import rectangles, triangles
-from .lattice import Record
+from .lattice import CertificateError, Record
 from .rectangles import RectSides
 # ShapeRecord keeps this binding of as_heronian, while the searches below call
 # rectangles.* and triangles.* through their modules.  So a fault patched into
@@ -64,10 +64,6 @@ THE_FIVE_RECT_PAIRS = (
     ((2, 13), (3, 10)),
 )
 THE_TRIANGLE_PAIR = ((3, 25, 26), (9, 12, 15))
-
-
-class CertificateError(ValueError):
-    """A pair or shape certificate did not hold when re-checked."""
 
 
 class ShapeFingerprint(Record):
@@ -145,7 +141,8 @@ def match_amicable(
 class SearchReport(Record):
     """Deterministic, certificate-carrying result of one search run.
 
-    Identical inputs serialize byte-identically.
+    Identical inputs serialize byte-identically.  An equable report's JSON
+    always has "shapes", an empty list included; no other report's has it.
     """
 
     __slots__ = ("family", "bound", "shapes_scanned", "pairs", "shapes", "checks")
@@ -163,7 +160,7 @@ class SearchReport(Record):
                 for name, ok in self.checks
             ],
         }
-        if self.shapes:
+        if FAMILIES[self.family][1]:
             out["shapes"] = [s.to_dict() for s in self.shapes]
         return out
 

@@ -8,7 +8,7 @@ exhaustive scan that uses nothing but the definition.
 
 from math import isqrt
 
-from .lattice import Record, is_perfect_square
+from .lattice import CertificateError, Record, is_perfect_square
 
 
 class RectSides(Record):
@@ -47,7 +47,7 @@ class RectAmicablePair(Record):
         if first > second:
             raise ValueError("pair must be stored with first <= second")
         if first.area() != second.perimeter() or second.area() != first.perimeter():
-            raise ValueError(f"cross equalities fail for {first} and {second}")
+            raise CertificateError(f"cross equalities fail for {first} and {second}")
         self._store("first", first)
         self._store("second", second)
 

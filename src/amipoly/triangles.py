@@ -14,9 +14,7 @@ reflection, and it is kept when its coordinates are integers.
 
 from math import gcd, isqrt
 
-from .lattice import LatticePolygon, Record, squared_side_lengths, twice_area
-
-_ORIGIN = (0, 0)
+from .lattice import CertificateError, LatticePolygon, Record
 
 
 class TriangleSides(Record):
@@ -60,7 +58,7 @@ class HeronianTriangle(Record):
 
     def __init__(self, sides: TriangleSides, area: int):
         if area < 1 or 16 * area * area != sides.sixteen_area_sq():
-            raise ValueError(f"area {area} is not certified for sides {sides}")
+            raise CertificateError(f"area {area} is not certified for sides {sides}")
         self._store("sides", sides)
         self._store("area", area)
 
@@ -262,38 +260,9 @@ def sum_two_squares_reps(c: int) -> list[tuple[int, int]]:
     return [(x, y) for u, v in gaussians for x, y in ((u, v), (-v, u), (-u, -v), (v, -u))]
 
 
-class TriangleEmbedding(Record):
-    """A lattice placement of a heronian triangle, certificate-checked on construction."""
-
-    __slots__ = ("triangle", "v0", "v1", "v2")
-
-    def __init__(self, triangle: HeronianTriangle, v0, v1, v2):
-        self._store("triangle", triangle)
-        self._store("v0", v0)
-        self._store("v1", v1)
-        self._store("v2", v2)
-        sides = triangle.sides
-        want = sorted((sides.a**2, sides.b**2, sides.c**2))
-        # the squared sides fix the triangle, so they also fix its shoelace
-        # area at the Heron area that HeronianTriangle has certified
-        if sorted(self.squared_sides()) != want:
-            raise ValueError(f"embedding does not realise the sides {sides}")
-
-    def vertices(self):
-        return (self.v0, self.v1, self.v2)
-
-    def as_polygon(self) -> LatticePolygon:
-        return LatticePolygon(self.vertices())
-
-    def squared_sides(self) -> list[int]:
-        return squared_side_lengths(self.as_polygon())
-
-    def twice_area(self) -> int:
-        return twice_area(self.as_polygon())
-
-
-def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
-    """Place t on the lattice with v0 at the origin and (v1, v2) least in both vertex orders.
+def embed_triangle(t: HeronianTriangle) -> LatticePolygon:
+    """Place t on the lattice as the triangle (v0, v1, v2), with v0 at the origin and
+    (v1, v2) least in both vertex orders.
 
     The origin vertex carries the two longest sides.  The candidates are
     every (p, q) with |p| = c, |q| = b and |p - q| = a.  p ranges over
@@ -310,6 +279,14 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
     candidate, so no orbit needs to be taken.
     Heronian triangles always embed, so an exhausted search is an internal
     inconsistency and raises AssertionError.
+
+    The placement's squared sides are checked against t's before it is
+    returned, and a mismatch raises CertificateError.  Every candidate
+    passes: |p|^2 = c^2 makes |q|^2 = (D^2 + T^2)/c^2, which is b^2 by
+    Lagrange's identity (p.q)^2 + |p x q|^2 = |p|^2*|q|^2, as Heron's
+    formula reads D^2 + T^2 = b^2*c^2; and |p - q|^2 = c^2 + b^2 - 2*D = a^2.
+    So the check stays only to catch faults, such as a representation of
+    c^2 that is off the circle of radius c.
     """
     s = t.sides
     c_sq = s.c * s.c
@@ -327,4 +304,7 @@ def embed_triangle(t: HeronianTriangle) -> TriangleEmbedding:
                     best = key
     if best is None:
         raise AssertionError(f"no lattice placement found for {s}")
-    return TriangleEmbedding(t, _ORIGIN, best[:2], best[2:])
+    placed = LatticePolygon(((0, 0), best[:2], best[2:]))
+    if sorted(placed.squared_sides()) != [s.a * s.a, s.b * s.b, c_sq]:
+        raise CertificateError(f"embedding does not realise the sides {s}")
+    return placed

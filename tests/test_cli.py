@@ -211,6 +211,17 @@ class TestEquableCommands:
         assert all(s["area"] == s["perimeter"] for s in payload["shapes"])
         report_from_dict(payload)
 
+    # An equable report has "shapes" at every bound, [] where the bound admits none;
+    # a pair report never has it.
+    @pytest.mark.parametrize("argv", [
+        "equable rect --max-side 3", "tri equable --max-perimeter 23", "rect enumerate",
+        "rect oracle --max-side 3", "tri search --max-perimeter 3", "verify all",
+    ])
+    def test_shapes_key_only_in_equable_reports(self, capsys, argv):
+        code, payload, _ = run_json(capsys, *argv.split(), "--format", "json")
+        assert (code, payload.get("shapes")) == (0, [] if "equable" in argv else None)
+        assert report_from_dict(payload).to_canonical_dict() == payload
+
 
 SIDES_3_25_26 = TriangleSides(3, 25, 26)
 
@@ -340,16 +351,41 @@ class TestVerifyAll:
         assert err == "verification failed: " + ", ".join(failing) + "\n"
 
 
+BAD_PAIR = tuple(tri_mod.as_heronian(TriangleSides(*s)) for s in ((3, 4, 5), (6, 8, 10)))
+# Faults as (module, name, make), as in VERIFY_FAULTS.  (c^2, 0) is off the circle
+# of radius c; doubling every k of n = m*k^2 keeps the squarefree parts, so the
+# walk finds the same triangles, at 4x their area.
+PAIR_3X4X5 = (tri_mod, "match_amicable_triangles", lambda real: lambda found: [BAD_PAIR])
+OFF_CIRCLE = (tri_mod, "sum_two_squares_reps", lambda real: lambda c: [(c * c, 0)])
+PARTNER_2X35 = (rect_mod, "_partner_quadratic", lambda real: lambda a, b: (2, 35) if (a, b) == (1, 34) else real(a, b))
+AREA_X4 = (tri_mod, "_square_classes", lambda real: lambda n: [(m, 2 * k) for m, k in real(n)])
+
+# Results that fail their own certificate: (id, command, fault, the reason on
+# stderr).  assemble_report stops the first two; an embedding's squared sides,
+# a rectangle pair's cross equalities and a heronian area stop the rest.
+CERTIFICATE_FAULTS = [
+    ("verify all", ["verify", "all"], PAIR_3X4X5, "cross equalities fail: 3x4x5 vs 6x8x10"),
+    ("tri search", ["tri", "search"], PAIR_3X4X5, "cross equalities fail: 3x4x5 vs 6x8x10"),
+    ("tri embed off-circle", ["tri", "embed", "3", "4", "5"], OFF_CIRCLE, "embedding does not realise the sides 3x4x5"),
+    ("verify all off-circle", ["verify", "all"], OFF_CIRCLE, "embedding does not realise the sides 3x25x26"),
+    ("rect oracle 2x35", ["rect", "oracle", "--max-side", "60"], PARTNER_2X35, "cross equalities fail for 1x34 and 2x35"),
+    ("verify all 2x35", ["verify", "all"], PARTNER_2X35, "cross equalities fail for 1x34 and 2x35"),
+    ("tri search area x4", ["tri", "search"], AREA_X4, "area 24 is not certified for sides 3x4x5"),
+]
+
+
 @pytest.mark.parametrize("fmt", ["table", "json", "csv"])
-@pytest.mark.parametrize("command", [["verify", "all"], ["tri", "search"]], ids=" ".join)
-def test_failed_certificate_exits_three(capsys, monkeypatch, command, fmt):
+@pytest.mark.parametrize(
+    "command, patch, reason", [row[1:] for row in CERTIFICATE_FAULTS], ids=[row[0] for row in CERTIFICATE_FAULTS]
+)
+def test_failed_certificate_exits_three(capsys, monkeypatch, command, patch, reason, fmt):
     """A result that fails its own certificate is reported on stderr, not as a traceback."""
-    bad = tuple(tri_mod.as_heronian(TriangleSides(*s)) for s in ((3, 4, 5), (6, 8, 10)))
-    monkeypatch.setattr(tri_mod, "match_amicable_triangles", lambda found: [bad])
+    module, name, make = patch
+    monkeypatch.setattr(module, name, make(getattr(module, name)))
     code, out, err = run_cli(capsys, *command, "--format", fmt)
     assert code == 3
     assert out == ""
-    assert err == "verification failed: cross equalities fail: 3x4x5 vs 6x8x10\n"
+    assert err == f"verification failed: {reason}\n"
 
 
 class TestSingleEnumeration:

@@ -13,10 +13,10 @@ import amipoly.matching as matching_mod
 import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly.cli import main
+from amipoly.lattice import CertificateError
 from amipoly.matching import (
     BOUNDS,
     FAMILIES,
-    CertificateError,
     ShapeFingerprint,
     ShapeRecord,
     VERIFICATION_CHECKS,

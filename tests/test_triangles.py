@@ -7,10 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from amipoly.lattice import squared_side_lengths
+import amipoly.triangles as tri_mod
+from amipoly.lattice import CertificateError, LatticePolygon, squared_side_lengths
 from amipoly.triangles import (
     HeronianTriangle,
-    TriangleEmbedding,
     TriangleSides,
     _square_classes,
     as_heronian,
@@ -291,7 +291,7 @@ class TestEmbedding:
 
     def test_origin_pinned(self):
         emb = embed_triangle(as_heronian(TriangleSides(5, 5, 6)))
-        assert emb.v0 == (0, 0)
+        assert emb.vertices[0] == (0, 0)
 
     def test_heron_shoelace_agreement_up_to_60(self):
         for h in enumerate_heronian(60):
@@ -301,14 +301,14 @@ class TestEmbedding:
     def test_embedding_realises_integer_sides(self):
         for h in enumerate_heronian(60):
             emb = embed_triangle(h)
-            squared = squared_side_lengths(emb.as_polygon())
+            squared = squared_side_lengths(emb)
             assert sorted(squared) == [s * s for s in h.sides.as_tuple()]
 
     @pytest.mark.parametrize("sides", EMBEDDING_CASES, ids=str)
     def test_equals_canonical_pairwise_scan(self, sides):
         emb = embed_triangle(as_heronian(TriangleSides(*sides)))
         want = naive_canonical_placement(naive_embedding_candidates(*sides))
-        assert (emb.v1, emb.v2) == want
+        assert emb.vertices[1:] == want
 
     @pytest.mark.parametrize("sides", EMBEDDING_CASES, ids=str)
     def test_lattice_symmetries_map_candidates_onto_themselves(self, sides):
@@ -323,16 +323,30 @@ class TestEmbedding:
     def test_mirrored_candidates_canonicalise_identically(self):
         h = as_heronian(TriangleSides(3, 25, 26))
         emb = embed_triangle(h)
-        v1, v2 = emb.v1, emb.v2
+        _, v1, v2 = emb.vertices
         for f in LATTICE_MAPS:
             assert naive_canonical_placement([(f(*v1), f(*v2))]) == (v1, v2)
 
-    # (0, 0), (6, 0), (0, 2) has the right twice-area, 12, but not the sides
-    @pytest.mark.parametrize("v1, v2", [((5, 0), (0, 5)), ((6, 0), (0, 2))])
-    def test_embedding_certificate_rejects_mismatch(self, v1, v2):
-        h = as_heronian(TriangleSides(3, 4, 5))
-        with pytest.raises(ValueError):
-            TriangleEmbedding(h, (0, 0), v1, v2)
+    # (c^2, 0) is off the circle of radius c; for 3x4x5 it gives the placement
+    # (0, 0), (16, -12), (25, 0), whose squared sides are 225, 400 and 625
+    @pytest.mark.parametrize("sides", [TriangleSides(3, 4, 5), TriangleSides(3, 25, 26)], ids=str)
+    def test_embedding_certificate_rejects_mismatch(self, monkeypatch, sides):
+        monkeypatch.setattr(tri_mod, "sum_two_squares_reps", lambda c: [(c * c, 0)])
+        with pytest.raises(CertificateError, match=f"embedding does not realise the sides {sides}$"):
+            embed_triangle(as_heronian(sides))
+
+    def test_one_polygon_per_embedding(self, monkeypatch):
+        built = []
+        real = LatticePolygon.__init__
+
+        def spy(self, vertices):
+            built.append(vertices)
+            real(self, vertices)
+
+        monkeypatch.setattr(LatticePolygon, "__init__", spy)
+        emb = embed_triangle(as_heronian(TriangleSides(3, 25, 26)))
+        assert (emb.squared_sides(), emb.twice_area()) == ([676, 9, 625], 72)
+        assert built == [((0, 0), (-24, -10), (-24, -7))]
 
 
 def test_oracles_import_nothing_from_amipoly():
