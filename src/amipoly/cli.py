@@ -129,8 +129,8 @@ def cmd_rect_solve(a: int, x: int):
     }
     line = f"no solution: {sol.status}"
     if sol.solved:
-        first = ShapeRecord(tuple(sorted((a, sol.b))))
-        second = ShapeRecord(tuple(sorted((x, sol.y))))
+        first = ShapeRecord(rectangles.RectSides.of(a, sol.b))
+        second = ShapeRecord(rectangles.RectSides.of(x, sol.y))
         payload["b"], payload["y"] = sol.b, sol.y
         payload["first"], payload["second"] = first.to_dict(), second.to_dict()
         line = f"b={sol.b} y={sol.y}  (rectangles {first.shape_id} and {second.shape_id})"

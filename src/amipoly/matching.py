@@ -3,22 +3,18 @@
 match_amicable joins (area, perimeter, shape_id) fingerprints of any family
 by key instead of a quadratic scan; no search calls it, as rectangle pairs
 come from the partner rule and triangle pairs from match_amicable_triangles.
-A ShapeRecord works out its area and perimeter from its sides;
-search_report builds the report of every search, verify all's checks
-included; reports re-verify every pair and listed shape when assembled,
-and a report read back from JSON is rebuilt by its own search and must
-serialize to the input's JSON text, so serialized results are never
-trusted blindly.
+A ShapeRecord copies its sides, area and perimeter from the certified
+record a search returned; search_report builds the report of every
+search, verify all's checks included; reports re-verify every pair and
+listed shape when assembled, and a report read back from JSON is rebuilt
+by its own search and must serialize to the input's JSON text, so
+serialized results are never trusted blindly.
 """
 
 from . import rectangles, triangles
 from .lattice import CertificateError, Record
 from .rectangles import RectSides
-# ShapeRecord keeps this binding of as_heronian, while the searches below call
-# rectangles.* and triangles.* through their modules.  So a fault patched into
-# a module (the VERIFY_FAULTS rows of tests/test_cli.py) reaches the searches
-# and checks but never the records every report is built from.
-from .triangles import TriangleSides, as_heronian
+from .triangles import HeronianTriangle, TriangleSides
 
 # Each family -> (the side count of every shape its report lists, whether those
 # shapes are equable, whether its report may have a null bound).  A verification
@@ -73,34 +69,27 @@ class ShapeFingerprint(Record):
 
 
 class ShapeRecord(Record):
-    """A shape given by its canonical sorted sides, with the area and perimeter they give.
+    """A shape as a report lists it: its canonical sorted sides, area and perimeter.
 
-    Two sides make a rectangle and three a heronian triangle; every side
-    must be an int, so 34.0, True and "34" are not sides.  Any other sides
-    raise CertificateError, so no record disagrees with its sides.
+    It is built from a RectSides or a HeronianTriangle and copies what that
+    record holds; anything else raises TypeError.  A RectSides holds
+    1 <= short <= long and a HeronianTriangle an area whose 16*Area^2 is
+    Heron's, both checked when built and neither changeable afterwards, so
+    no record disagrees with its sides.
     """
 
     __slots__ = ("sides", "area", "perimeter")
 
-    def __init__(self, sides: tuple[int, ...]):
-        try:
-            if any(type(s) is not int for s in sides):
-                raise ValueError("every side must be an int")
-            if len(sides) == 2:
-                rect = RectSides(*sides)
-                area, perimeter = rect.area(), rect.perimeter()
-            elif len(sides) == 3:
-                tri = as_heronian(TriangleSides(*sides))
-                if tri is None:
-                    raise ValueError("the triangle is not heronian")
-                area, perimeter = tri.area, tri.perimeter()
-            else:
-                raise ValueError("a shape has 2 or 3 sides")
-        except ValueError as exc:
-            raise CertificateError(f"{sides!r} is not a shape: {exc}") from None
-        self._store("sides", tuple(sides))
+    def __init__(self, shape: RectSides | HeronianTriangle):
+        if isinstance(shape, RectSides):
+            sides, area = (shape.short, shape.long), shape.area()
+        elif isinstance(shape, HeronianTriangle):
+            sides, area = shape.sides.as_tuple(), shape.area
+        else:
+            raise TypeError(f"a ShapeRecord is built from a RectSides or a HeronianTriangle, not {shape!r}")
+        self._store("sides", sides)
         self._store("area", area)
-        self._store("perimeter", perimeter)
+        self._store("perimeter", shape.perimeter())
 
     @property
     def shape_id(self) -> str:
@@ -181,14 +170,16 @@ def assemble_report(
     """Build the SearchReport of one search's result, re-verifying every certificate.
 
     search_report has already checked the family and bound and counted the
-    shapes its search scanned.  Shape lists are retained in the report only
-    for the equable families, where the shapes themselves are the result;
-    pair searches keep just the scan count.  A pair that fails its cross
-    equalities, a repeated pair or kept shape, a shape with the wrong side
-    count for the family, a non-equable shape in an equable family or a
-    shape beyond a non-null bound aborts assembly.
+    shapes its search scanned.  Only the equable families list shapes, as
+    there the shapes themselves are the result; every other family lists
+    pairs, and a shape list handed to it aborts assembly.  So do a pair that
+    fails its cross equalities, a repeated pair or shape, a shape with the
+    wrong side count for the family, a non-equable shape in an equable
+    family and a shape beyond a non-null bound.
     """
     n_sides, equable, _ = FAMILIES[family]
+    if shapes and not equable:
+        raise CertificateError(f"a {family} report lists pairs, not shapes")
     for rec in [*shapes, *(rec for pair in pairs for rec in pair)]:
         if n_sides is not None and len(rec.sides) != n_sides:
             raise CertificateError(f"a {family} report cannot list {rec.shape_id}")
@@ -206,21 +197,14 @@ def assemble_report(
             raise CertificateError(f"cross equalities fail: {first.shape_id} vs {second.shape_id}")
         normalized.append((first, second))
     normalized.sort(key=lambda p: (p[0].sides, p[1].sides))
-    keep_shapes = tuple(sorted(shapes, key=lambda r: r.sides)) if equable else ()
-    if len(set(normalized)) < len(normalized) or len(set(keep_shapes)) < len(keep_shapes):
+    shapes = tuple(sorted(shapes, key=lambda r: r.sides))
+    if len(set(normalized)) < len(normalized) or len(set(shapes)) < len(shapes):
         raise CertificateError(f"repeated pair or shape in a {family} report")
-    return SearchReport(family, bound, shapes_scanned, tuple(normalized), keep_shapes, tuple(checks))
+    return SearchReport(family, bound, shapes_scanned, tuple(normalized), shapes, tuple(checks))
 
 
-def _rect_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
-    return [
-        (ShapeRecord((p.first.short, p.first.long)), ShapeRecord((p.second.short, p.second.long)))
-        for p in pairs
-    ]
-
-
-def _tri_pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
-    return [(ShapeRecord(a.sides.as_tuple()), ShapeRecord(b.sides.as_tuple())) for a, b in pairs]
+def _pair_records(pairs) -> list[tuple[ShapeRecord, ShapeRecord]]:
+    return [(ShapeRecord(a), ShapeRecord(b)) for a, b in pairs]
 
 
 def placed_amicably(pairs) -> bool:
@@ -244,10 +228,10 @@ def _verification_checks():
     with the checks named by VERIFICATION_CHECKS, in its order."""
     rect_pairs = rectangles.enumerate_by_divisors()
     oracle_pairs = rectangles.brute_force_pairs(RECT_MAX_SIDE)
-    rect_records = _rect_pair_records(rect_pairs)
+    rect_records = _pair_records((p.first, p.second) for p in rect_pairs)
     heronian = triangles.enumerate_heronian(TRI_MAX_PERIMETER)
     tri_pairs = triangles.match_amicable_triangles(heronian)
-    tri_records = _tri_pair_records(tri_pairs)
+    tri_records = _pair_records(tri_pairs)
 
     known_pair = [triangles.as_heronian(TriangleSides.of(*sides)) for sides in THE_TRIANGLE_PAIR]
 
@@ -304,18 +288,17 @@ def search_report(family: str, bound: int | None) -> SearchReport:
     if family == "verification":
         pairs, checks, scanned = _verification_checks()
     elif family == "rectangles":
-        pairs = _rect_pair_records(
-            rectangles.enumerate_by_divisors() if bound is None else rectangles.brute_force_pairs(bound)
-        )
+        found = rectangles.enumerate_by_divisors() if bound is None else rectangles.brute_force_pairs(bound)
+        pairs = _pair_records((p.first, p.second) for p in found)
         scanned = 0 if bound is None else rect_count(bound)
     elif family == "triangles":
         found = triangles.enumerate_heronian(bound)
-        pairs, scanned = _tri_pair_records(triangles.match_amicable_triangles(found)), len(found)
+        pairs, scanned = _pair_records(triangles.match_amicable_triangles(found)), len(found)
     else:
         if family == "equable-triangles":
-            shapes = [ShapeRecord(h.sides.as_tuple()) for h in triangles.find_equable_triangles(bound)]
+            shapes = [ShapeRecord(h) for h in triangles.find_equable_triangles(bound)]
         else:
-            shapes = [ShapeRecord((r.short, r.long)) for r in rectangles.equable_rectangles(bound)]
+            shapes = [ShapeRecord(r) for r in rectangles.equable_rectangles(bound)]
         scanned = len(shapes)
     return assemble_report(family, bound, shapes, pairs, scanned, checks=checks)
 

@@ -143,8 +143,7 @@ def match_amicable_triangles(
     The match is a fingerprint join: triangles indexed by (area, perimeter)
     are probed with the reversed key, so the search stays linear in the
     number of triangles, and the probe key itself makes the areas and
-    perimeters cross.  The independent re-check is assemble_report's, on
-    records built from the sides alone.
+    perimeters cross.  assemble_report re-checks every pair's cross equalities.
     """
     by_key: dict[tuple[int, int], list[HeronianTriangle]] = {}
     for h in triangles:

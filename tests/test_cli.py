@@ -101,6 +101,17 @@ class TestRectSolve:
         assert code == 0
         assert (payload["b"], payload["y"]) == (10, 13)
 
+    # The command solves the linear system, and an equable rectangle (3x6 or
+    # 4x4) is its own solution: reported as solved, though it is no amicable pair.
+    @pytest.mark.parametrize(
+        "a, x, sides",
+        [("3", "3", [3, 6]), ("3", "6", [3, 6]), ("6", "3", [3, 6]), ("6", "6", [3, 6]), ("4", "4", [4, 4])],
+    )
+    def test_equable_rectangle_solves_to_itself(self, capsys, a, x, sides):
+        code, payload, _ = run_json(capsys, "rect", "solve", "-a", a, "-x", x, "--format", "json")
+        assert (code, payload["status"]) == (0, "solved")
+        assert payload["first"]["sides"] == payload["second"]["sides"] == sides
+
     def test_rejects_nonpositive_sides(self, capsys):
         code, out, err = run_cli(capsys, "rect", "solve", "-a", "0", "-x", "5")
         assert code == 1
@@ -234,8 +245,7 @@ def _place_as(asked: TriangleSides | None, placed: TriangleSides):
 
 # The fault matrix of verify all: (id, patches, the checks that fail, in order).
 # Each patch is (module, name, make), and module.name becomes make(the real
-# function); cli and matching reach every patched name through its module,
-# except that matching keeps its own as_heronian, so ShapeRecord is unaffected.
+# function); cli and matching reach every patched name through its module.
 # No single fault fails tri-pair-cross-equalities alone: the one pair the
 # search finds is the known pair, so a fault that misplaces it fails
 # embeddings-certify-both-triangles too, and a pair whose cross equalities

@@ -318,8 +318,8 @@ RECORD_CASES = {
         (HeronianTriangle(TriangleSides(5, 5, 8), 12), (TriangleSides(5, 5, 8), 12)),
     ],
     "ShapeRecord": lambda: [
-        (ShapeRecord((1, 34)), ((1, 34), 34, 70)),
-        (ShapeRecord((7, 10)), ((7, 10), 70, 34)),
+        (ShapeRecord(RectSides(1, 34)), ((1, 34), 34, 70)),
+        (ShapeRecord(RectSides(7, 10)), ((7, 10), 70, 34)),
     ],
     "ShapeFingerprint": lambda: [
         plain(ShapeFingerprint, 18, 18, "equable-rectangles:3x6"),
@@ -330,8 +330,14 @@ RECORD_CASES = {
         plain(PartnerSolution, "solved", 10, 13),
     ],
     "SearchReport": lambda: [
-        plain(SearchReport, "equable-rectangles", 6, 2, (), (ShapeRecord((3, 6)), ShapeRecord((4, 4))), ()),
-        plain(SearchReport, "rectangles", None, 0, ((ShapeRecord((1, 34)), ShapeRecord((7, 10))),), (), ()),
+        plain(
+            SearchReport, "equable-rectangles", 6, 2, (),
+            (ShapeRecord(RectSides(3, 6)), ShapeRecord(RectSides(4, 4))), (),
+        ),
+        plain(
+            SearchReport, "rectangles", None, 0,
+            ((ShapeRecord(RectSides(1, 34)), ShapeRecord(RectSides(7, 10))),), (), (),
+        ),
     ],
 }
 

@@ -25,8 +25,8 @@ from amipoly.matching import (
     report_from_dict,
     search_report,
 )
-from amipoly.rectangles import equable_rectangles
-from amipoly.triangles import find_equable_triangles
+from amipoly.rectangles import RectSides, equable_rectangles
+from amipoly.triangles import TriangleSides, as_heronian, find_equable_triangles
 
 from _oracles import naive_heronian_triples
 
@@ -50,6 +50,13 @@ RECT_PAIR_SIDES = [
 
 def rect_fp(a, b):
     return ShapeFingerprint(a * b, 2 * (a + b), f"rectangles:{a}x{b}")
+
+
+def rec(sides):
+    """The ShapeRecord of a rectangle's two sides or a heronian triangle's three."""
+    if len(sides) == 2:
+        return ShapeRecord(RectSides(*sides))
+    return ShapeRecord(as_heronian(TriangleSides(*sides)))
 
 
 def pair_ids(pairs):
@@ -117,8 +124,8 @@ class TestMatchAmicable:
 
     def test_equable_shapes_never_pair(self):
         # why equable reports pass no pairs: their area = perimeter values differ
-        triangles = [ShapeRecord(h.sides.as_tuple()) for h in find_equable_triangles(1000)]
-        rectangles = [ShapeRecord((r.short, r.long)) for r in equable_rectangles(1000)]
+        triangles = [ShapeRecord(h) for h in find_equable_triangles(1000)]
+        rectangles = [ShapeRecord(r) for r in equable_rectangles(1000)]
         for shapes, values in ((triangles, [24, 30, 36, 42, 60]), (rectangles, [16, 18])):
             assert sorted(s.area for s in shapes) == values
             assert match_amicable(shapes) == []
@@ -130,11 +137,19 @@ class TestMatchAmicable:
         assert len(got) == 10  # all cross pairs of 5 distinct equable shapes
 
 
-# Sides that make no ShapeRecord: wrong counts, unsorted, non-positive, degenerate, not heronian.
+# Sides that make no shape: wrong counts, unsorted, non-positive, degenerate, not heronian.
 BAD_SIDES = [
     (), (5,), (1, 2, 3, 4), (13, 1), (0, 5), (5, 4, 3), (1, 2, 3), (2, 3, 4),
     (1.5, 2), (True, 5), (3.0, 4.0, 5.0), ("3", "4"),
 ]
+# Every command that prints a report, at its default bound and at its cap.
+REPORT_COMMANDS = (
+    "verify all", "rect enumerate",
+    "rect oracle", "rect oracle --max-side 20000",
+    "tri search", "tri search --max-perimeter 3000",
+    "tri equable", "tri equable --max-perimeter 3000",
+    "equable rect", "equable rect --max-side 20000",
+)
 
 
 class TestShapeRecord:
@@ -144,23 +159,41 @@ class TestShapeRecord:
         for a in range(1, 61):
             for b in range(a, 61 - a):
                 for c in range(b, min(a + b, 61 - a - b)):
-                    try:
-                        rec = ShapeRecord((a, b, c))
-                    except CertificateError:
-                        continue
-                    got[a, b, c] = (rec.area, rec.perimeter)
+                    heronian = as_heronian(TriangleSides(a, b, c))
+                    if heronian is not None:
+                        record = ShapeRecord(heronian)
+                        got[a, b, c] = (record.area, record.perimeter)
         assert got == want
 
     def test_rectangles(self):
         for a in range(1, 31):
             for b in range(a, 31):
-                rec = ShapeRecord((a, b))
-                assert (rec.area, rec.perimeter) == (a * b, 2 * (a + b))
+                record = ShapeRecord(RectSides(a, b))
+                assert (record.area, record.perimeter) == (a * b, 2 * (a + b))
 
-    @pytest.mark.parametrize("sides", BAD_SIDES)
+    @pytest.mark.parametrize(
+        "sides", [*BAD_SIDES, TriangleSides(2, 3, 4), None, ShapeFingerprint(34, 70, "1x34")]
+    )
     def test_bad_sides_rejected(self, sides):
-        with pytest.raises(CertificateError):
+        """Only a RectSides or a HeronianTriangle makes a record, never raw sides."""
+        with pytest.raises(TypeError):
             ShapeRecord(sides)
+
+    @pytest.mark.parametrize("command", REPORT_COMMANDS)
+    def test_every_listed_record_agrees_with_its_sides(self, command):
+        """Each listed area and perimeter, worked out here from the sides alone."""
+        d = canonical_report(command + " --format json")
+        records = [*d.get("shapes", ()), *(p[k] for p in d["pairs"] for k in ("first", "second"))]
+        assert records
+        for record in records:
+            sides, area, perimeter = record["sides"], record["area"], record["perimeter"]
+            if len(sides) == 2:
+                a, b = sides
+                assert (area, perimeter) == (a * b, 2 * (a + b))
+            else:
+                a, b, c = sides
+                assert 16 * area * area == (a + b + c) * (-a + b + c) * (a - b + c) * (a + b - c)
+                assert perimeter == a + b + c
 
     @pytest.mark.parametrize("sides", BAD_SIDES)
     @pytest.mark.parametrize(
@@ -201,15 +234,15 @@ class TestAssembleReport:
              "not-equable", "repeated-shape"],
     )
     def test_false_certificate_rejected(self, family, bound, shapes, pairs):
-        shapes = [ShapeRecord(sides) for sides in shapes]
-        pairs = [(ShapeRecord(a), ShapeRecord(b)) for a, b in pairs]
+        shapes = [rec(sides) for sides in shapes]
+        pairs = [(rec(a), rec(b)) for a, b in pairs]
         with pytest.raises(CertificateError):
             assemble_report(family, bound, shapes, pairs, 0)
 
     def test_orders_and_sorts_pairs(self):
         pairs = [
-            (ShapeRecord((7, 10)), ShapeRecord((1, 34))),
-            (ShapeRecord((4, 6)), ShapeRecord((2, 10))),
+            (rec((7, 10)), rec((1, 34))),
+            (rec((4, 6)), rec((2, 10))),
         ]
         report = assemble_report("rectangles", 54, [], pairs, 1485)
         assert [(p[0].sides, p[1].sides) for p in report.pairs] == [
@@ -218,13 +251,13 @@ class TestAssembleReport:
         ]
 
     def test_equable_family_keeps_shapes(self):
-        shapes = [ShapeRecord((4, 4)), ShapeRecord((3, 6))]
+        shapes = [rec((4, 4)), rec((3, 6))]
         report = assemble_report("equable-rectangles", 10, shapes, [], 2)
         assert [s.sides for s in report.shapes] == [(3, 6), (4, 4)]
 
-    def test_pair_family_drops_shape_list(self):
-        report = assemble_report("rectangles", 10, [ShapeRecord((2, 3))], [], 55)
-        assert report.shapes == ()
+    def test_pair_family_refuses_shape_list(self):
+        with pytest.raises(CertificateError, match="a rectangles report lists pairs, not shapes"):
+            assemble_report("rectangles", 10, [rec((2, 3))], [], 55)
 
     @pytest.mark.parametrize(
         "pair, bound, message",
@@ -236,12 +269,12 @@ class TestAssembleReport:
     )
     def test_rectangle_measured_by_its_long_side(self, pair, bound, message):
         # every short side is within the bound; the named rectangle's long side is not
-        pair = tuple(ShapeRecord(sides) for sides in pair)
+        pair = tuple(rec(sides) for sides in pair)
         with pytest.raises(CertificateError, match=message):
             assemble_report("rectangles", bound, [], [pair], 210)
 
     def test_deterministic_serialisation(self):
-        pairs = [(ShapeRecord((1, 34)), ShapeRecord((7, 10)))]
+        pairs = [(rec((1, 34)), rec((7, 10)))]
         r1 = assemble_report("rectangles", 54, [], pairs, 1485)
         r2 = assemble_report("rectangles", 54, [], pairs, 1485)
         assert json.dumps(r1.to_canonical_dict(), sort_keys=True) == json.dumps(
@@ -298,8 +331,8 @@ class TestRoundTrip:
         assert [name for name, _ in rebuilt.checks] == list(VERIFICATION_CHECKS)
 
     def test_shape_ids_stable(self):
-        assert ShapeRecord((2, 13)).shape_id == "2x13"
-        assert ShapeRecord((9, 12, 15)).shape_id == "9x12x15"
+        assert rec((2, 13)).shape_id == "2x13"
+        assert rec((9, 12, 15)).shape_id == "9x12x15"
 
     def test_every_command_report_reads_back(self):
         """At the default bound and at each family's cap too, so no bound a

@@ -359,3 +359,27 @@ def test_oracles_import_nothing_from_amipoly():
             modules.append(node.module or "")
     assert "math" in modules
     assert [m for m in modules if m.split(".")[0] == "amipoly"] == []
+
+
+def test_each_name_has_one_import_path():
+    # a module that imports f with "from .m import f" and also reads m.f
+    # reaches f two ways, and a fault patched into m reaches only one of them
+    scanned, both = [], []
+    for path in sorted(Path(tri_mod.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        direct = {
+            (node.module, alias.name)
+            for node in ast.walk(tree)
+            if isinstance(node, ast.ImportFrom) and node.level == 1
+            for alias in node.names
+        }
+        scanned.append(path.name)
+        both += [
+            f"{path.name}:{node.lineno} {node.value.id}.{node.attr}"
+            for node in ast.walk(tree)
+            if isinstance(node, ast.Attribute)
+            and isinstance(node.value, ast.Name)
+            and (node.value.id, node.attr) in direct
+        ]
+    assert {"cli.py", "matching.py", "triangles.py"} <= set(scanned)
+    assert both == []
