@@ -17,6 +17,8 @@ class RectSides(Record):
     __slots__ = ("short", "long")
 
     def __init__(self, short: int, long: int):
+        if type(short) is not int or type(long) is not int:
+            raise TypeError("rectangle sides must be integers")
         if short < 1 or long < short:
             raise ValueError(f"need 1 <= short <= long, got {short}x{long}")
         self._store("short", short)
@@ -83,30 +85,22 @@ def _partner_quadratic(a: int, b: int) -> tuple[int, int] | None:
 def small_side_candidates(max_side: int) -> list[int]:
     """Short sides that can occur on the perimeter-dominant member of a pair.
 
-    Scans the canonical rectangles with long side <= max_side, keeps the
-    perimeter-dominant ones whose (even) area admits a genuine partner
-    distinct from the rectangle itself, and returns the sorted set of short
-    sides seen.  Comes out as [1, 2] for any max_side >= 54.
+    The sorted set of short sides of the perimeter-dominant members of
+    brute_force_pairs(max_side)'s pairs, which is the set of short sides of
+    every dominant a x b with a <= b <= max_side that has a partner other
+    than itself.  A dominant rectangle has ab <= 2(a + b), that is
+    (a - 2)(b - 2) <= 4.  So for a >= 3 only 3x3 to 3x6 and 4x4 remain, and
+    none of them has a partner other than itself (3x6 and 4x4 pair with
+    themselves, the rest have none).  For a = 1 the partner's sides sum to
+    b/2 and for a = 2 to b, so its long side is below b <= max_side.  Also
+    ab <= 2(a + b) <= 4*max_side, so the oracle visits the rectangle and
+    lists its pair; conversely each pair it lists gives such a rectangle.
+    Comes out as [1, 2] for any max_side >= 34.
     """
     if max_side < 4:
         raise ValueError(f"max_side must be at least 4, got {max_side}")
-    shorts = set()
-    for a in range(1, max_side + 1):
-        if not perimeter_dominant(RectSides(a, a)):
-            # row a's least area - perimeter is its square's, a^2 - 4a (see below),
-            # which grows with a from a = 2 on: no later row holds a dominant one
-            break
-        for b in range(a, max_side + 1):
-            r = RectSides(a, b)
-            if not perimeter_dominant(r):
-                # ab - 2(a + b) = b(a - 2) - 2a never decreases in b for a >= 2
-                # (and stays negative for a = 1), so no longer rectangle is either.
-                break
-            partner = _partner_quadratic(a, b)
-            if partner is None or partner == (a, b):
-                continue
-            shorts.add(a)
-    return sorted(shorts)
+    pairs = brute_force_pairs(max_side)
+    return sorted({r.short for p in pairs for r in (p.first, p.second) if perimeter_dominant(r)})
 
 
 class PartnerSolution(Record):

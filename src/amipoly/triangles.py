@@ -23,6 +23,8 @@ class TriangleSides(Record):
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            raise TypeError("triangle sides must be integers")
         if not 1 <= a <= b <= c:
             raise ValueError(f"sides must satisfy 1 <= a <= b <= c, got {a}x{b}x{c}")
         if a + b <= c:
@@ -57,6 +59,8 @@ class HeronianTriangle(Record):
     __slots__ = ("sides", "area")
 
     def __init__(self, sides: TriangleSides, area: int):
+        if type(area) is not int:
+            raise TypeError("a heronian area must be an integer")
         if area < 1 or 16 * area * area != sides.sixteen_area_sq():
             raise CertificateError(f"area {area} is not certified for sides {sides}")
         self._store("sides", sides)

@@ -288,8 +288,9 @@ VERIFY_FAULTS = [
         ["embeddings-certify-both-triangles"],
     ),
     (
-        "short-side-3-is-a-candidate",
-        [(rect_mod, "small_side_candidates", lambda real: lambda n: [1, 2, 3])],
+        # 3x10, the partner of 2x13, has area 30 > perimeter 26.
+        "3x10-called-dominant",
+        [(rect_mod, "perimeter_dominant", lambda real: lambda r: (r.short, r.long) == (3, 10) or real(r))],
         ["dominant-member-short-side-is-1-or-2"],
     ),
     (
@@ -318,6 +319,14 @@ class TestVerifyAll:
         code, out, _ = run_cli(capsys, "verify", "all")
         assert code == 0
         assert out.rstrip().splitlines()[-1] == "6 amicable pairs total"
+
+    def test_scans_the_rectangles_once(self, capsys, monkeypatch):
+        """Only the oracle solves partners: the dominance audit reads its pairs."""
+        calls = []
+        real = rect_mod._partner_quadratic
+        monkeypatch.setattr(rect_mod, "_partner_quadratic", lambda a, b: calls.append((a, b)) or real(a, b))
+        code, _, _ = run_cli(capsys, "verify", "all", "--format", "json")
+        assert (code, len(calls), len(set(calls))) == (0, 1889, 1889)
 
     @pytest.fixture
     def fault(self, monkeypatch):

@@ -1,6 +1,7 @@
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -419,3 +420,27 @@ class TestRecords:
             HeronianTriangle(TriangleSides(5, 5, 6), 13)
         with pytest.raises(TypeError, match="ShapeFingerprint takes 3 fields, got 2"):
             ShapeFingerprint(1, 2)
+        # exact ints only, as for lattice coordinates: a bool, a float or a
+        # Fraction is refused for its type before any order or Heron test
+        for make, args, message in [
+            (RectSides, (True, 5), "rectangle sides"),
+            (RectSides, (1, True), "rectangle sides"),
+            (RectSides, (1.0, 5), "rectangle sides"),
+            (RectSides, (1, 5.0), "rectangle sides"),
+            (RectSides, (Fraction(1), 5), "rectangle sides"),
+            (RectSides, (1, Fraction(5)), "rectangle sides"),
+            (TriangleSides, (True, 2, 2), "triangle sides"),
+            (TriangleSides, (1, True, 1), "triangle sides"),
+            (TriangleSides, (1, 1, True), "triangle sides"),
+            (TriangleSides, (3.0, 4, 5), "triangle sides"),
+            (TriangleSides, (3, 4.0, 5), "triangle sides"),
+            (TriangleSides, (3, 4, 5.0), "triangle sides"),
+            (TriangleSides, (Fraction(3), 4, 5), "triangle sides"),
+            (TriangleSides, (3, Fraction(4), 5), "triangle sides"),
+            (TriangleSides, (3, 4, Fraction(5)), "triangle sides"),
+            (HeronianTriangle, (TriangleSides(3, 4, 5), 6.0), "a heronian area"),
+            (HeronianTriangle, (TriangleSides(3, 4, 5), Fraction(6)), "a heronian area"),
+            (HeronianTriangle, (TriangleSides(3, 4, 5), True), "a heronian area"),
+        ]:
+            with pytest.raises(TypeError, match=f"^{message} must be"):
+                make(*args)

@@ -71,15 +71,19 @@ class TestSmallSideCandidates:
     def test_equals_full_scan(self, max_side):
         assert small_side_candidates(max_side) == naive_small_side_candidates(max_side)
 
-    def test_stops_at_the_first_square_that_is_not_dominant(self, monkeypatch):
-        """Rows 1 and 2 are dominant to the end, rows 3 and 4 stop at their own
-        break, and no row from 5 on is scanned: a square's a^2 - 4a grows with a."""
-        calls = []
-        real = rect_mod.perimeter_dominant
-        monkeypatch.setattr(rect_mod, "perimeter_dominant", lambda r: calls.append(r) or real(r))
-        assert small_side_candidates(200) == [1, 2]
-        assert len(calls) <= 2 * 200 + 20
-        assert max(r.short for r in calls) == 5
+    def test_dominant_member_with_a_partner_is_in_the_oracle(self):
+        """The lemma small_side_candidates rests on: a dominant rectangle with a
+        partner other than itself has short side 1 or 2, a partner whose long
+        side is below its own, and an area within the oracle's 4*max_side."""
+        seen = set()
+        for a in range(1, 301):
+            for b in range(a, 301):
+                partner = _partner_quadratic(a, b)
+                if not perimeter_dominant(RectSides(a, b)) or partner in (None, (a, b)):
+                    continue
+                assert a in (1, 2) and partner[1] < b and a * b <= 4 * b, (a, b, partner)
+                seen.add((a, b))
+        assert {(1, 34), (1, 38), (1, 54), (2, 10), (2, 13)} <= seen
 
     @pytest.mark.parametrize("max_side, visited", [(200, 1889), (600, 6959)])
     def test_oracle_visits_only_areas_a_perimeter_can_match(self, monkeypatch, max_side, visited):
