@@ -4,7 +4,8 @@ Everything here stays in integer arithmetic.  Areas are carried around as
 twice-area (the shoelace sum of lattice vertices is always an integer),
 lattice point counts come from the gcd and Pick identities, and side
 lengths are kept as squared lengths / radicands so that irrational values
-are never materialised as floats.
+are never materialised as floats.  crossed_pairs is the one (area,
+perimeter) join, which both amicable matchers call.
 """
 
 import operator
@@ -83,6 +84,20 @@ class Record:
         return f"{type(self).__name__}({fields})"
 
 
+def crossed_pairs(items: list, keys: list[tuple[int, int]]) -> list[tuple]:
+    """The pairs (items[i], items[j]), i < j, whose keys cross, in order of (i, j).
+
+    keys[i] is items[i]'s (area, perimeter).  Positions are indexed by key and
+    probed with each reversed key, so the join is linear in the items.  An
+    item repeated at a second position pairs with its copy when its key
+    crosses itself, as an equable shape's does.
+    """
+    at: dict[tuple[int, int], list[int]] = {}
+    for i, key in enumerate(keys):
+        at.setdefault(key, []).append(i)
+    return [(items[i], items[j]) for i, (a, p) in enumerate(keys) for j in at.get((p, a), ()) if i < j]
+
+
 class LatticePolygon(Record):
     """A polygon with vertices on the integer lattice, in boundary order.
 
@@ -120,7 +135,8 @@ class LatticePolygon(Record):
         return [(self.vertices[i], self.vertices[(i + 1) % n]) for i in range(n)]
 
     def squared_sides(self) -> list[int]:
-        return squared_side_lengths(self)
+        """Squared length of every edge, in vertex order."""
+        return [(qx - px) ** 2 + (qy - py) ** 2 for (px, py), (qx, qy) in self.edges()]
 
     def twice_area(self) -> int:
         return twice_area(self)
@@ -135,11 +151,6 @@ def twice_area(poly: LatticePolygon) -> int:
     for (px, py), (qx, qy) in poly.edges():
         s += px * qy - qx * py
     return abs(s)
-
-
-def squared_side_lengths(poly: LatticePolygon) -> list[int]:
-    """Squared length of every edge, in vertex order."""
-    return [(qx - px) ** 2 + (qy - py) ** 2 for (px, py), (qx, qy) in poly.edges()]
 
 
 def boundary_point_count(poly: LatticePolygon) -> int:

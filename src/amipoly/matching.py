@@ -1,8 +1,9 @@
 """Shape-agnostic amicability matching and certificate-carrying reports.
 
-match_amicable joins (area, perimeter, shape_id) fingerprints of any family
-by key instead of a quadratic scan; no search calls it, as rectangle pairs
-come from the partner rule and triangle pairs from match_amicable_triangles.
+match_amicable pairs (area, perimeter, shape_id) fingerprints of any
+family through lattice.crossed_pairs, the join match_amicable_triangles also
+calls; no search calls it, as rectangle pairs come from the partner rule and
+triangle pairs from match_amicable_triangles.
 A ShapeRecord copies its sides, area and perimeter from the certified
 record a search returned; search_report builds the report of every
 search, verify all's checks included; reports re-verify every pair and
@@ -12,7 +13,7 @@ serialized results are never trusted blindly.
 """
 
 from . import rectangles, triangles
-from .lattice import CertificateError, Record
+from .lattice import CertificateError, Record, crossed_pairs
 from .rectangles import RectSides
 from .triangles import HeronianTriangle, TriangleSides
 
@@ -104,27 +105,20 @@ def match_amicable(
 ) -> list[tuple[ShapeFingerprint, ShapeFingerprint]]:
     """All unordered pairs {s, t} with s.area = t.perimeter and t.area = s.perimeter.
 
-    Implemented as a join keyed on (area, perimeter) probed with the
-    reversed key.  Distinct shape_ids are required, so an equable shape
-    (area = perimeter) never pairs with itself, while two different equable
-    shapes with the same value do pair.  A ShapeRecord carries the same
-    three fields and is matched as it is.
+    lattice.crossed_pairs joins them.  Distinct shape_ids are required, so an
+    equable shape (area = perimeter) never pairs with itself, while two
+    different equable shapes with the same value do pair.  Each pair is
+    ordered by shape_id, and the pairs by their two shape_ids.  A ShapeRecord
+    carries the same three fields and is matched as it is.
     """
     seen_ids = set()
     for s in shapes:
         if s.shape_id in seen_ids:
             raise ValueError(f"duplicate shape_id: {s.shape_id}")
         seen_ids.add(s.shape_id)
-    by_key: dict[tuple[int, int], list[ShapeFingerprint]] = {}
-    for s in shapes:
-        by_key.setdefault((s.area, s.perimeter), []).append(s)
-    pairs = set()
-    for s in shapes:
-        for t in by_key.get((s.perimeter, s.area), ()):
-            if t.shape_id == s.shape_id:
-                continue
-            pairs.add((s, t) if s.shape_id < t.shape_id else (t, s))
-    return sorted(pairs, key=lambda p: (p[0].shape_id, p[1].shape_id))
+    pairs = crossed_pairs(shapes, [(s.area, s.perimeter) for s in shapes])
+    oriented = [(s, t) if s.shape_id < t.shape_id else (t, s) for s, t in pairs]
+    return sorted(oriented, key=lambda p: (p[0].shape_id, p[1].shape_id))
 
 
 class SearchReport(Record):

@@ -5,16 +5,16 @@ less each side), where Heron reads Area^2 = s*x*y*z: for each s and least
 length x it writes s*x = m*j^2 with m squarefree, and the area is an
 integer exactly when y*z = m*t^2, which one isqrt per t decides.  The
 walk's work grows about as the square of the perimeter, where a scan over
-side triples grows as its cube.  Amicable partners are matched by an
-(area, perimeter) fingerprint join.  Lattice embeddings come from the
-Gaussian factorisation of the longest side c, never of c^2: each lattice
-point at distance c from the origin fixes the third vertex up to a
-reflection, and it is kept when its coordinates are integers.
+side triples grows as its cube.  Amicable partners are matched by
+lattice.crossed_pairs, the (area, perimeter) join.  Lattice embeddings
+come from the Gaussian factorisation of the longest side c, never of c^2:
+each lattice point at distance c from the origin fixes the third vertex
+up to a reflection, and it is kept when its coordinates are integers.
 """
 
 from math import gcd, isqrt
 
-from .lattice import CertificateError, LatticePolygon, Record
+from .lattice import CertificateError, LatticePolygon, Record, crossed_pairs
 
 
 class TriangleSides(Record):
@@ -142,22 +142,15 @@ def enumerate_heronian(max_perimeter: int) -> list[HeronianTriangle]:
 def match_amicable_triangles(
     triangles: list[HeronianTriangle],
 ) -> list[tuple[HeronianTriangle, HeronianTriangle]]:
-    """Unordered pairs of distinct triangles in the list with crossed area/perimeter.
+    """Sorted (lesser, greater) pairs of distinct triangles in the list with crossed
+    area and perimeter, each pair once.
 
-    The match is a fingerprint join: triangles indexed by (area, perimeter)
-    are probed with the reversed key, so the search stays linear in the
-    number of triangles, and the probe key itself makes the areas and
-    perimeters cross.  assemble_report re-checks every pair's cross equalities.
+    The join is lattice.crossed_pairs.  A triangle never pairs with itself,
+    an equable one or one listed twice included, and a pair found twice is
+    kept once.  assemble_report re-checks every pair's cross equalities.
     """
-    by_key: dict[tuple[int, int], list[HeronianTriangle]] = {}
-    for h in triangles:
-        by_key.setdefault((h.area, h.perimeter()), []).append(h)
-    pairs = set()
-    for h in triangles:
-        for g in by_key.get((h.perimeter(), h.area), ()):
-            if g != h:
-                pairs.add((min(h, g), max(h, g)))
-    return sorted(pairs)
+    keys = [(h.area, h.perimeter()) for h in triangles]
+    return sorted({(min(g, h), max(g, h)) for g, h in crossed_pairs(triangles, keys) if g != h})
 
 
 def find_amicable_triangle_pairs(

@@ -16,7 +16,6 @@ from amipoly.lattice import (
     interior_point_count,
     is_perfect_square,
     radical_sum_is_rational,
-    squared_side_lengths,
     three_radical_sum_is_rational,
     twice_area,
     two_radical_sum_is_rational,
@@ -120,13 +119,13 @@ class TestPointCounts:
 
 class TestSides:
     def test_squared_sides_sliver(self):
-        assert squared_side_lengths(tri((0, 0), (24, 7), (24, 10))) == [625, 9, 676]
+        assert tri((0, 0), (24, 7), (24, 10)).squared_sides() == [625, 9, 676]
 
     def test_squared_sides_right(self):
-        assert squared_side_lengths(tri((0, 0), (0, 9), (12, 0))) == [81, 225, 144]
+        assert tri((0, 0), (0, 9), (12, 0)).squared_sides() == [81, 225, 144]
 
     def test_squared_sides_square(self):
-        assert squared_side_lengths(UNIT_SQUARE) == [1, 1, 1, 1]
+        assert UNIT_SQUARE.squared_sides() == [1, 1, 1, 1]
 
 
 class TestPolygonValidation:
@@ -275,7 +274,7 @@ def test_symmetry_invariance(ax, ay, bx, by, cx, cy, sym, tx, ty):
         (x + tx, y + ty) for x, y in (sym(*v) for v in poly.vertices)
     )
     assert twice_area(moved) == twice_area(poly)
-    assert sorted(squared_side_lengths(moved)) == sorted(squared_side_lengths(poly))
+    assert sorted(moved.squared_sides()) == sorted(poly.squared_sides())
     if twice_area(poly) > 0:
         assert boundary_point_count(moved) == boundary_point_count(poly)
 

@@ -26,9 +26,15 @@ from amipoly.matching import (
     search_report,
 )
 from amipoly.rectangles import RectSides, equable_rectangles
-from amipoly.triangles import TriangleSides, as_heronian, find_equable_triangles
+from amipoly.triangles import (
+    TriangleSides,
+    as_heronian,
+    enumerate_heronian,
+    find_equable_triangles,
+    match_amicable_triangles,
+)
 
-from _oracles import naive_heronian_triples
+from _oracles import naive_amicable_scan, naive_heronian_triples
 
 MUTATED_COMMANDS = (
     "verify all --format json",
@@ -135,6 +141,38 @@ class TestMatchAmicable:
         got = match_amicable(shapes)
         assert all(s.shape_id != t.shape_id for s, t in got)
         assert len(got) == 10  # all cross pairs of 5 distinct equable shapes
+
+    def test_triangle_join_equals_naive_scan(self):
+        def fingerprints(triangles):
+            return [ShapeFingerprint(h.area, h.perimeter(), str(h.sides)) for h in triangles]
+
+        def by_ids(pairs, shape_id):
+            return sorted(tuple(sorted((shape_id(s), shape_id(t)))) for s, t in pairs)
+
+        def tri_id(h):
+            return str(h.sides)
+
+        def fp_id(s):
+            return s.shape_id
+
+        heronian = enumerate_heronian(300)
+        assert len(heronian) == 532
+        got = match_amicable_triangles(heronian)
+        assert got == sorted(got) and all(g < h for g, h in got)
+        assert by_ids(got, tri_id) == by_ids(naive_amicable_scan(fingerprints(heronian)), fp_id)
+        assert ("3x25x26", "9x12x15") in by_ids(got, tri_id)
+
+        # each equable key crosses itself, and repeats must not pair with their copies
+        pair = [as_heronian(TriangleSides(*sides)) for sides in ((3, 25, 26), (9, 12, 15))]
+        equable = find_equable_triangles(60)
+        listed = [*pair, *equable, equable[2], pair[1], pair[0]]
+        got = match_amicable_triangles(listed)
+        assert got == [tuple(pair)]
+        assert by_ids(got, tri_id) == by_ids(naive_amicable_scan(fingerprints(listed)), fp_id)
+
+        records = [ShapeRecord(h) for h in dict.fromkeys(listed)]
+        assert len(records) == 7
+        assert by_ids(match_amicable(records), fp_id) == by_ids(got, tri_id)
 
 
 # Sides that make no shape: wrong counts, unsorted, non-positive, degenerate, not heronian.

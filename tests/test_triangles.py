@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 import amipoly.triangles as tri_mod
-from amipoly.lattice import CertificateError, LatticePolygon, squared_side_lengths
+from amipoly.lattice import CertificateError, LatticePolygon
 from amipoly.triangles import (
     HeronianTriangle,
     TriangleSides,
@@ -301,7 +301,7 @@ class TestEmbedding:
     def test_embedding_realises_integer_sides(self):
         for h in enumerate_heronian(60):
             emb = embed_triangle(h)
-            squared = squared_side_lengths(emb)
+            squared = emb.squared_sides()
             assert sorted(squared) == [s * s for s in h.sides.as_tuple()]
 
     @pytest.mark.parametrize("sides", EMBEDDING_CASES, ids=str)
