@@ -118,24 +118,25 @@ def _search(family: str, bound: int | None = None):
 
 
 def cmd_rect_solve(a: int, x: int):
-    sol = rectangles.solve_partner(a, x)
+    status, b, y = rectangles.solve_partner(a, x)
+    solved = status == "solved"
     payload = {
         "a": a,
         "x": x,
-        "status": "solved" if sol.solved else "no-solution",
-        "reason": None if sol.solved else sol.status,
+        "status": "solved" if solved else "no-solution",
+        "reason": None if solved else status,
         "first": None,
         "second": None,
     }
-    line = f"no solution: {sol.status}"
-    if sol.solved:
-        first = ShapeRecord(rectangles.RectSides.of(a, sol.b))
-        second = ShapeRecord(rectangles.RectSides.of(x, sol.y))
-        payload["b"], payload["y"] = sol.b, sol.y
+    line = f"no solution: {status}"
+    if solved:
+        first = ShapeRecord(rectangles.RectSides.of(a, b))
+        second = ShapeRecord(rectangles.RectSides.of(x, y))
+        payload["b"], payload["y"] = b, y
         payload["first"], payload["second"] = first.to_dict(), second.to_dict()
-        line = f"b={sol.b} y={sol.y}  (rectangles {first.shape_id} and {second.shape_id})"
+        line = f"b={b} y={y}  (rectangles {first.shape_id} and {second.shape_id})"
     row = [a, x, payload["status"], payload["reason"] or "", payload.get("b", ""), payload.get("y", "")]
-    code = EXIT_OK if sol.solved else EXIT_NO_RESULT
+    code = EXIT_OK if solved else EXIT_NO_RESULT
     return code, payload, [["a", "x", "status", "reason", "b", "y"], row], [line]
 
 

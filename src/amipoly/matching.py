@@ -276,7 +276,10 @@ def search_report(family: str, bound: int | None) -> SearchReport:
     n_sides, _, exact = FAMILIES[family]
     least, greatest = BOUNDS.get(n_sides, (1, 0))  # an empty range: verification takes no bound
     if not (exact if bound is None else type(bound) is int and least <= bound <= greatest):
-        raise CertificateError(f"a {family} report cannot have the bound {bound!r}")
+        # repr refuses an int of over 4,300 digits (CPython 3.10.7 on), so a long one shows its size
+        huge = isinstance(bound, int) and bound.bit_length() > 128
+        shown = f"{'-' * (bound < 0)}<{bound.bit_length()}-bit int>" if huge else repr(bound)
+        raise CertificateError(f"a {family} report cannot have the bound {shown}")
     shapes, pairs, checks = [], [], ()
     if family == "verification":
         pairs, checks, scanned = _verification_checks()
@@ -319,7 +322,9 @@ def report_from_dict(d: dict) -> SearchReport:
         # check_circular=False turns a report that holds itself into the
         # RecursionError of a deeply nested one, instead of a bare ValueError
         text = json.dumps(d, sort_keys=True, check_circular=False)
-    except (KeyError, TypeError, RecursionError) as exc:
+    except CertificateError:
+        raise
+    except (KeyError, TypeError, ValueError, RecursionError) as exc:  # ValueError: an int too long to print
         raise CertificateError(f"malformed report: {exc!r}") from exc
     if json.dumps(report.to_canonical_dict(), sort_keys=True) != text:
         raise CertificateError(

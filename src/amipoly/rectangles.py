@@ -103,19 +103,11 @@ def small_side_candidates(max_side: int) -> list[int]:
     return sorted({r.short for p in pairs for r in (p.first, p.second) if perimeter_dominant(r)})
 
 
-class PartnerSolution(Record):
-    """Outcome of solving the amicability system for fixed short sides a and x: a status
-    ("solved", "singular", "non-integer" or "non-positive") and b and y, None unless solved."""
-
-    __slots__ = ("status", "b", "y")
-
-    @property
-    def solved(self) -> bool:
-        return self.status == "solved"
-
-
-def solve_partner(a: int, x: int) -> PartnerSolution:
+def solve_partner(a: int, x: int) -> tuple[str, int | None, int | None]:
     """Solve a*b = 2*(x + y), 2*(a + b) = x*y as a linear system in b and y.
+
+    Returns (status, b, y): status is "solved", "singular", "non-integer" or
+    "non-positive", and b and y are None unless it is "solved".
 
     The coefficient matrix ((a, -2), (-2, x)) has determinant a*x - 4; when
     that is nonzero Cramer's rule gives the unique rational solution
@@ -130,17 +122,17 @@ def solve_partner(a: int, x: int) -> PartnerSolution:
         raise ValueError("side lengths must be positive integers")
     det = a * x - 4
     if det == 0:
-        return PartnerSolution("singular", None, None)
+        return "singular", None, None
     b_num = 2 * x * x + 4 * a
     y_num = 2 * a * a + 4 * x
     if b_num % det or y_num % det:
-        return PartnerSolution("non-integer", None, None)
+        return "non-integer", None, None
     b = b_num // det
     y = y_num // det
     # both numerators are positive, so b and y take the determinant's sign
     if b < 1:
-        return PartnerSolution("non-positive", None, None)
-    return PartnerSolution("solved", b, y)
+        return "non-positive", None, None
+    return "solved", b, y
 
 
 def _divisors(n: int) -> list[int]:
@@ -169,8 +161,8 @@ def enumerate_by_divisors() -> list[RectAmicablePair]:
     for a, shift, modulus in ((1, 4, 18), (2, 2, 8)):
         for d in _divisors(modulus):
             x = d + shift
-            sol = solve_partner(a, x)
-            pairs.add(RectAmicablePair.of(RectSides.of(a, sol.b), RectSides.of(x, sol.y)))
+            _, b, y = solve_partner(a, x)
+            pairs.add(RectAmicablePair.of(RectSides.of(a, b), RectSides.of(x, y)))
     return sorted(pairs)
 
 

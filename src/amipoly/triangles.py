@@ -273,8 +273,9 @@ def embed_triangle(t: HeronianTriangle) -> LatticePolygon:
     and integral coordinates and maps the candidates onto themselves: the
     least candidate is already least over the mirror images of every
     candidate, so no orbit needs to be taken.
-    Heronian triangles always embed, so an exhausted search is an internal
-    inconsistency and raises AssertionError.
+    Heronian triangles always embed, so a search that finds no candidate
+    has met a fault, such as an empty list of representations of c^2, and
+    raises CertificateError.
 
     The placement's squared sides are checked against t's before it is
     returned, and a mismatch raises CertificateError.  Every candidate
@@ -287,7 +288,7 @@ def embed_triangle(t: HeronianTriangle) -> LatticePolygon:
     s = t.sides
     c_sq = s.c * s.c
     dot = (s.b * s.b + c_sq - s.a * s.a) // 2
-    best = None
+    keys = []
     for px, py in sum_two_squares_reps(s.c):
         for cross in (2 * t.area, -2 * t.area):
             # the two numerators' squares sum to (b*c^2)^2, so c^2 divides
@@ -295,11 +296,10 @@ def embed_triangle(t: HeronianTriangle) -> LatticePolygon:
             qx, rx = divmod(dot * px - cross * py, c_sq)
             qy = (dot * py + cross * px) // c_sq
             if rx == 0:
-                key = min((px, py, qx, qy), (qx, qy, px, py))
-                if best is None or key < best:
-                    best = key
-    if best is None:
-        raise AssertionError(f"no lattice placement found for {s}")
+                keys.append(min((px, py, qx, qy), (qx, qy, px, py)))
+    if not keys:
+        raise CertificateError(f"no lattice placement found for {s}")
+    best = min(keys)
     placed = LatticePolygon(((0, 0), best[:2], best[2:]))
     if sorted(placed.squared_sides()) != [s.a * s.a, s.b * s.b, c_sq]:
         raise CertificateError(f"embedding does not realise the sides {s}")

@@ -1,5 +1,7 @@
 import ast
 import hashlib
+import importlib
+import inspect
 import json
 import os
 import string
@@ -15,7 +17,7 @@ import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly import cli
 from amipoly.cli import main
-from amipoly.matching import report_from_dict
+from amipoly.matching import assemble_report, report_from_dict
 from amipoly.triangles import TriangleSides
 
 from test_golden import GOLDEN, GOLDEN_NO_RESULT
@@ -372,21 +374,25 @@ class TestVerifyAll:
 
 BAD_PAIR = tuple(tri_mod.as_heronian(TriangleSides(*s)) for s in ((3, 4, 5), (6, 8, 10)))
 # Faults as (module, name, make), as in VERIFY_FAULTS.  (c^2, 0) is off the circle
-# of radius c; doubling every k of n = m*k^2 keeps the squarefree parts, so the
-# walk finds the same triangles, at 4x their area.
+# of radius c, and with no point on it the embedder finds no placement; doubling
+# every k of n = m*k^2 keeps the squarefree parts, so the walk finds the same
+# triangles, at 4x their area.
 PAIR_3X4X5 = (tri_mod, "match_amicable_triangles", lambda real: lambda found: [BAD_PAIR])
 OFF_CIRCLE = (tri_mod, "sum_two_squares_reps", lambda real: lambda c: [(c * c, 0)])
+EMPTY_CIRCLE = (tri_mod, "sum_two_squares_reps", lambda real: lambda c: [])
 PARTNER_2X35 = (rect_mod, "_partner_quadratic", lambda real: lambda a, b: (2, 35) if (a, b) == (1, 34) else real(a, b))
 AREA_X4 = (tri_mod, "_square_classes", lambda real: lambda n: [(m, 2 * k) for m, k in real(n)])
 
 # Results that fail their own certificate: (id, command, fault, the reason on
-# stderr).  assemble_report stops the first two; an embedding's squared sides,
-# a rectangle pair's cross equalities and a heronian area stop the rest.
+# stderr).  assemble_report stops the first two; an embedding's squared sides or
+# empty search, a rectangle pair's cross equalities and a heronian area stop the rest.
 CERTIFICATE_FAULTS = [
     ("verify all", ["verify", "all"], PAIR_3X4X5, "cross equalities fail: 3x4x5 vs 6x8x10"),
     ("tri search", ["tri", "search"], PAIR_3X4X5, "cross equalities fail: 3x4x5 vs 6x8x10"),
     ("tri embed off-circle", ["tri", "embed", "3", "4", "5"], OFF_CIRCLE, "embedding does not realise the sides 3x4x5"),
     ("verify all off-circle", ["verify", "all"], OFF_CIRCLE, "embedding does not realise the sides 3x25x26"),
+    ("tri embed empty circle", ["tri", "embed", "3", "4", "5"], EMPTY_CIRCLE, "no lattice placement found for 3x4x5"),
+    ("verify all empty circle", ["verify", "all"], EMPTY_CIRCLE, "no lattice placement found for 3x25x26"),
     ("rect oracle 2x35", ["rect", "oracle", "--max-side", "60"], PARTNER_2X35, "cross equalities fail for 1x34 and 2x35"),
     ("verify all 2x35", ["verify", "all"], PARTNER_2X35, "cross equalities fail for 1x34 and 2x35"),
     ("tri search area x4", ["tri", "search"], AREA_X4, "area 24 is not certified for sides 3x4x5"),
@@ -716,6 +722,36 @@ class TestProcessPath:
         assert scripts.partition("\n[")[0].strip() == 'amipoly = "amipoly.cli:run"'
         main_module = ast.parse((SRC / "amipoly" / "__main__.py").read_text())
         assert ast.dump(main_module) == ast.dump(ast.parse("from .cli import run\nrun()"))
+
+
+class TestTracedNames:
+    """The benchmark's tracer wraps each function its TRACED table names and
+    skips, without an error, a name it cannot find, so a rename would zero
+    that name's per-layer metrics.  The table is read with ast: perfbench is
+    not imported."""
+
+    def test_every_traced_name_resolves(self):
+        tree = ast.parse((SRC.parent / "perfbench" / "tracer.py").read_text())
+        traced = next(
+            ast.literal_eval(node.value)
+            for node in tree.body
+            if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["TRACED"]
+        )
+        unresolved = set()
+        for module_name, attr in traced:
+            owner = importlib.import_module(f"amipoly.{module_name}")
+            for part in attr.split("."):
+                owner = getattr(owner, part, None)
+            if not callable(owner):
+                unresolved.add((module_name, attr))
+        assert ("triangles", "embed_triangle") in traced
+        # transform_point was deleted from lattice; the tracer's table still names it
+        assert unresolved <= {("lattice", "transform_point")}
+
+    def test_records_verified_reads_shapes_and_pairs(self):
+        """The matching.records_verified counter reads assemble_report's third
+        and fourth arguments as its shapes and pairs."""
+        assert list(inspect.signature(assemble_report).parameters)[2:4] == ["shapes", "pairs"]
 
 
 def _payload(argv):

@@ -22,7 +22,7 @@ from amipoly.lattice import (
 )
 
 from amipoly.matching import SearchReport, ShapeFingerprint, ShapeRecord
-from amipoly.rectangles import PartnerSolution, RectSides
+from amipoly.rectangles import RectSides
 from amipoly.triangles import HeronianTriangle, TriangleSides
 
 from _oracles import LATTICE_MAPS, direct_boundary_count, direct_interior_count, floor_sqrt_scaled
@@ -324,10 +324,6 @@ RECORD_CASES = {
     "ShapeFingerprint": lambda: [
         plain(ShapeFingerprint, 18, 18, "equable-rectangles:3x6"),
         plain(ShapeFingerprint, 34, 70, "rectangles:1x34"),
-    ],
-    "PartnerSolution": lambda: [
-        plain(PartnerSolution, "non-integer", None, None),
-        plain(PartnerSolution, "solved", 10, 13),
     ],
     "SearchReport": lambda: [
         plain(

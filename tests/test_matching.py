@@ -4,6 +4,7 @@ import functools
 import io
 import json
 import random
+import re
 
 import pytest
 from hypothesis import given, settings
@@ -340,6 +341,18 @@ class TestSearchReport:
             search_report(family, greatest + 1)
         assert calls == []
 
+    @pytest.mark.parametrize("family", ["rectangles", "triangles", "verification"])
+    @pytest.mark.parametrize("sign", [1, -1])
+    def test_overlong_bound_refused_by_its_size(self, monkeypatch, family, sign):
+        """From CPython 3.10.7 on, repr refuses an int of over 4,300 digits;
+        the refusal names the bit length of 10**5000 instead, and starts no
+        search."""
+        calls = stub_searches(monkeypatch)
+        shown = re.escape("-" * (sign < 0) + "<16610-bit int>")
+        with pytest.raises(CertificateError, match=f"cannot have the bound {shown}$"):
+            search_report(family, sign * 10**5000)
+        assert calls == []
+
     @pytest.mark.parametrize(
         "family, bound, scanned",
         [
@@ -398,6 +411,27 @@ class TestRoundTrip:
             for _ in range(100_000):
                 d["pairs"] = [d["pairs"]]
         with pytest.raises(CertificateError, match="malformed report"):
+            report_from_dict(d)
+
+    @pytest.mark.parametrize(
+        "path",
+        [("shapes_scanned",), ("pairs", 0, "first", "area"), ("family",), ("bound",)],
+        ids=lambda path: ".".join(map(str, path)),
+    )
+    def test_overlong_int_rejected(self, path):
+        """A 4,301-digit int anywhere raises CertificateError, never a bare
+        ValueError: from CPython 3.10.7 on json and repr refuse to print it,
+        and before that it is a mismatch or a bound out of range."""
+        d = edited(canonical_report(RECT), path, 10**4300)
+        with pytest.raises(CertificateError):
+            report_from_dict(d)
+
+    def test_search_refusal_passes_through(self):
+        """Read-back raises search_report's own refusal, not a malformed-report
+        error that wraps it."""
+        d = canonical_report("tri search --max-perimeter 150 --format json")
+        d["bound"] = -(10**5000)
+        with pytest.raises(CertificateError, match=r"^a triangles report cannot have the bound -<16610-bit int>$"):
             report_from_dict(d)
 
     @pytest.mark.parametrize("scanned", [1, 20_204, 20_206])
@@ -484,13 +518,18 @@ class TestRoundTrip:
             ("tri search --max-perimeter 30", 54.0),
             ("rect oracle --max-side 60", True),
             ("rect oracle --max-side 60", 54.0),
+            # pytest's own ids would print these 5,001-digit ints
+            pytest.param("tri search --max-perimeter 30", 10**5000, id="tri-10**5000"),
+            pytest.param("tri search --max-perimeter 30", -10**5000, id="tri--10**5000"),
+            pytest.param("rect oracle --max-side 60", 10**5000, id="rect-10**5000"),
+            pytest.param("rect oracle --max-side 60", -10**5000, id="rect--10**5000"),
         ],
     )
     def test_forged_bound_refused_before_any_search(self, monkeypatch, command, bound):
-        """A bound below the least shape, above its family's cap or not an int
-        raises CertificateError and starts no search, equable closed forms
-        included.  The search at 30 finds no pair, so no listed shape lies
-        beyond bound 1 or 2."""
+        """A bound below the least shape, above its family's cap, not an int
+        or too long to print raises CertificateError and starts no search,
+        equable closed forms included.  The search at 30 finds no pair, so no
+        listed shape lies beyond bound 1 or 2."""
         d = canonical_report(command + " --format json")
         d["bound"] = bound
         calls = stub_searches(monkeypatch)

@@ -6,7 +6,6 @@ import pytest
 
 import amipoly.rectangles as rect_mod
 from amipoly.rectangles import (
-    PartnerSolution,
     RectAmicablePair,
     RectSides,
     _partner_quadratic,
@@ -147,14 +146,14 @@ class TestClosedForm:
         ],
     )
     def test_examples(self, a, x, expected):
-        sol = solve_partner(a, x)
-        assert ((sol.b, sol.y) if sol.solved else None) == expected
+        status, b, y = solve_partner(a, x)
+        assert ((b, y) if status == "solved" else None) == expected
 
     def test_statuses(self):
-        assert solve_partner(1, 4) == PartnerSolution("singular", None, None)
-        assert solve_partner(1, 1) == PartnerSolution("non-positive", None, None)
-        assert solve_partner(3, 4) == PartnerSolution("non-integer", None, None)
-        assert solve_partner(3, 2) == PartnerSolution("solved", 10, 13)
+        assert solve_partner(1, 4) == ("singular", None, None)
+        assert solve_partner(1, 1) == ("non-positive", None, None)
+        assert solve_partner(3, 4) == ("non-integer", None, None)
+        assert solve_partner(3, 2) == ("solved", 10, 13)
 
     @pytest.mark.parametrize("a, x", [(0, 5), (1, 0)])
     def test_rejects_nonpositive_input(self, a, x):
@@ -166,31 +165,35 @@ class TestClosedForm:
         # a = 1: d = x - 4 runs over the divisors of 18
         ds = [1, 2, 3, 6, 9, 18]
         got = [solve_partner(1, d + 4) for d in ds]
-        assert [g.y for g in got] == [22, 13, 10, 7, 6, 5] == [4 + 18 // d for d in ds]
-        assert [g.b for g in got] == [54, 38, 34, 34, 38, 54] == [2 * d + 16 + 36 // d for d in ds]
+        assert {status for status, _, _ in got} == {"solved"}
+        assert [y for _, _, y in got] == [22, 13, 10, 7, 6, 5] == [4 + 18 // d for d in ds]
+        assert [b for _, b, _ in got] == [54, 38, 34, 34, 38, 54] == [2 * d + 16 + 36 // d for d in ds]
         # a = 2: d = x - 2 runs over the divisors of 8
         ds = [1, 2, 4, 8]
         got = [solve_partner(2, d + 2) for d in ds]
-        assert [g.y for g in got] == [10, 6, 4, 3] == [2 + 8 // d for d in ds]
-        assert [g.b for g in got] == [13, 10, 10, 13] == [d + 4 + 8 // d for d in ds]
+        assert {status for status, _, _ in got} == {"solved"}
+        assert [y for _, _, y in got] == [10, 6, 4, 3] == [2 + 8 // d for d in ds]
+        assert [b for _, b, _ in got] == [13, 10, 10, 13] == [d + 4 + 8 // d for d in ds]
 
     def test_solved_exactly_when_cramer_gives_positive_integers(self):
         # solve_partner re-checks nothing: Cramer's values satisfy both
         # equations identically, so a positive integer pair is a solution
         for a in range(1, 101):
             for x in range(1, 101):
-                sol = solve_partner(a, x)
+                status, sb, sy = solve_partner(a, x)
                 det = a * x - 4
                 if det == 0:
-                    assert sol.status == "singular"
+                    assert (status, sb, sy) == ("singular", None, None)
                     continue
                 b = Fraction(2 * x * x + 4 * a, det)
                 y = Fraction(2 * a * a + 4 * x, det)
                 cramer_ok = all(v.denominator == 1 and v > 0 for v in (b, y))
-                assert sol.solved == cramer_ok
-                if sol.solved:
-                    assert (sol.b, sol.y) == (b, y)
-                    assert a * sol.b == 2 * (x + sol.y) and 2 * (a + sol.b) == x * sol.y
+                assert (status == "solved") == cramer_ok
+                if cramer_ok:
+                    assert (sb, sy) == (b, y)
+                    assert a * sb == 2 * (x + sy) and 2 * (a + sb) == x * sy
+                else:
+                    assert (sb, sy) == (None, None)
 
     def test_y_formula_matches_specialisations_exactly(self):
         # the Cramer expression (2a^2+4x)/(ax-4) agrees with the single-short-
@@ -206,8 +209,7 @@ class TestClosedForm:
         # defining equations; the Cramer value is the one that re-verifies.
         a, x = 1, 5
         variant_y = (4 * x + 4 * a) // (a * x - 4)
-        sol = solve_partner(a, x)
-        b, y = sol.b, sol.y
+        _, b, y = solve_partner(a, x)
         assert (b, y) == (54, 22)
         assert variant_y == 24
         assert a * b == 2 * (x + y) and 2 * (a + b) == x * y
