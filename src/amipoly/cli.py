@@ -130,8 +130,8 @@ def cmd_rect_solve(a: int, x: int):
     }
     line = f"no solution: {status}"
     if solved:
-        first = ShapeRecord(rectangles.RectSides.of(a, b))
-        second = ShapeRecord(rectangles.RectSides.of(x, y))
+        first = ShapeRecord(rectangles.RectSides(a, b))
+        second = ShapeRecord(rectangles.RectSides(x, y))
         payload["b"], payload["y"] = b, y
         payload["first"], payload["second"] = first.to_dict(), second.to_dict()
         line = f"b={b} y={y}  (rectangles {first.shape_id} and {second.shape_id})"
@@ -258,7 +258,7 @@ def _parse(argv: list[str]):
     if missing:
         raise ValueError(f"the following arguments are required: {', '.join(missing)}")
     fmt = values.pop("--format")
-    sides = [TriangleSides.of(*(_int("A B C", token) for token in ints))] if n_ints else []
+    sides = [TriangleSides(*(_int("A B C", token) for token in ints))] if n_ints else []
     for name, value in [*values.items(), *(("A B C", s.c) for s in sides)]:
         least, greatest = FLAG_RANGES[name]
         if value < least:

@@ -227,7 +227,7 @@ def _verification_checks():
     tri_pairs = triangles.match_amicable_triangles(heronian)
     tri_records = _pair_records(tri_pairs)
 
-    known_pair = [triangles.as_heronian(TriangleSides.of(*sides)) for sides in THE_TRIANGLE_PAIR]
+    known_pair = [triangles.as_heronian(TriangleSides(*sides)) for sides in THE_TRIANGLE_PAIR]
 
     # A pair's areas sum to its perimeters, so it always has a perimeter-dominant member.
     rects_in_pairs = {r for p in oracle_pairs for r in (p.first, p.second)}
@@ -252,6 +252,17 @@ def _verification_checks():
     return rect_records + tri_records, checks, rect_count(RECT_MAX_SIDE) + len(heronian)
 
 
+def _shown(value) -> str:
+    """repr(value), but an int past 128 bits shows its size and a container repr refuses its type:
+    repr refuses an int of over 4,300 digits (CPython 3.10.7 on), one that holds it, or deep nesting."""
+    if isinstance(value, int) and value.bit_length() > 128:
+        return f"{'-' * (value < 0)}<{value.bit_length()}-bit int>"
+    try:
+        return repr(value)
+    except (ValueError, RecursionError):
+        return f"<{type(value).__name__}>"
+
+
 def search_report(family: str, bound: int | None) -> SearchReport:
     """The report of one search, built by assemble_report.
 
@@ -271,15 +282,12 @@ def search_report(family: str, bound: int | None) -> SearchReport:
     rectangles; 24, 30, 36, 42 and 60 for triangles).  A rule or certificate
     that fails raises CertificateError.
     """
-    if family not in FAMILIES:
-        raise CertificateError(f"unknown family: {family!r}")
+    if type(family) is not str or family not in FAMILIES:
+        raise CertificateError(f"unknown family: {_shown(family)}")
     n_sides, _, exact = FAMILIES[family]
     least, greatest = BOUNDS.get(n_sides, (1, 0))  # an empty range: verification takes no bound
     if not (exact if bound is None else type(bound) is int and least <= bound <= greatest):
-        # repr refuses an int of over 4,300 digits (CPython 3.10.7 on), so a long one shows its size
-        huge = isinstance(bound, int) and bound.bit_length() > 128
-        shown = f"{'-' * (bound < 0)}<{bound.bit_length()}-bit int>" if huge else repr(bound)
-        raise CertificateError(f"a {family} report cannot have the bound {shown}")
+        raise CertificateError(f"a {family} report cannot have the bound {_shown(bound)}")
     shapes, pairs, checks = [], [], ()
     if family == "verification":
         pairs, checks, scanned = _verification_checks()

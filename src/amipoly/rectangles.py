@@ -12,21 +12,18 @@ from .lattice import CertificateError, Record, is_perfect_square
 
 
 class RectSides(Record):
-    """Canonical rectangle side record with short <= long."""
+    """Rectangle side record, stored as short <= long whatever the order given."""
 
     __slots__ = ("short", "long")
 
-    def __init__(self, short: int, long: int):
-        if type(short) is not int or type(long) is not int:
+    def __init__(self, a: int, b: int):
+        if type(a) is not int or type(b) is not int:
             raise TypeError("rectangle sides must be integers")
-        if short < 1 or long < short:
+        short, long = (a, b) if a <= b else (b, a)
+        if short < 1:
             raise ValueError(f"need 1 <= short <= long, got {short}x{long}")
         self._store("short", short)
         self._store("long", long)
-
-    @classmethod
-    def of(cls, a: int, b: int) -> "RectSides":
-        return cls(min(a, b), max(a, b))
 
     def area(self) -> int:
         return self.short * self.long
@@ -39,23 +36,18 @@ class RectSides(Record):
 
 
 class RectAmicablePair(Record):
-    """Unordered pair of distinct rectangles, cross equalities re-checked on construction."""
+    """Two distinct rectangles, stored lesser first whatever the order given; cross equalities checked."""
 
     __slots__ = ("first", "second")
 
-    def __init__(self, first: RectSides, second: RectSides):
-        if first == second:
-            raise ValueError(f"a rectangle does not pair with itself: {first}")
-        if first > second:
-            raise ValueError("pair must be stored with first <= second")
+    def __init__(self, r1: RectSides, r2: RectSides):
+        if r1 == r2:
+            raise ValueError(f"a rectangle does not pair with itself: {r1}")
+        first, second = (r1, r2) if r1 < r2 else (r2, r1)
         if first.area() != second.perimeter() or second.area() != first.perimeter():
             raise CertificateError(f"cross equalities fail for {first} and {second}")
         self._store("first", first)
         self._store("second", second)
-
-    @classmethod
-    def of(cls, r1: RectSides, r2: RectSides) -> "RectAmicablePair":
-        return cls(min(r1, r2), max(r1, r2))
 
 
 def perimeter_dominant(r: RectSides) -> bool:
@@ -162,7 +154,7 @@ def enumerate_by_divisors() -> list[RectAmicablePair]:
         for d in _divisors(modulus):
             x = d + shift
             _, b, y = solve_partner(a, x)
-            pairs.add(RectAmicablePair.of(RectSides.of(a, b), RectSides.of(x, y)))
+            pairs.add(RectAmicablePair(RectSides(a, b), RectSides(x, y)))
     return sorted(pairs)
 
 
@@ -183,7 +175,7 @@ def brute_force_pairs(max_side: int) -> list[RectAmicablePair]:
         for b in range(a, min(max_side, 4 * max_side // a) + 1):
             partner = _partner_quadratic(a, b)
             if partner is not None and partner != (a, b) and partner[1] <= max_side:
-                pairs.add(RectAmicablePair.of(RectSides(a, b), RectSides(*partner)))
+                pairs.add(RectAmicablePair(RectSides(a, b), RectSides(*partner)))
     return sorted(pairs)
 
 

@@ -18,25 +18,22 @@ from .lattice import CertificateError, LatticePolygon, Record, crossed_pairs
 
 
 class TriangleSides(Record):
-    """Canonical side triple a <= b <= c satisfying the strict triangle inequality."""
+    """Sides of a strict triangle, stored as a <= b <= c whatever the order given."""
 
     __slots__ = ("a", "b", "c")
 
     def __init__(self, a: int, b: int, c: int):
         if type(a) is not int or type(b) is not int or type(c) is not int:
             raise TypeError("triangle sides must be integers")
-        if not 1 <= a <= b <= c:
+        if not a <= b <= c:  # the heronian walk's sides come sorted
+            a, b, c = sorted((a, b, c))
+        if a < 1:
             raise ValueError(f"sides must satisfy 1 <= a <= b <= c, got {a}x{b}x{c}")
         if a + b <= c:
             raise ValueError(f"triangle inequality fails for {a}x{b}x{c}")
         self._store("a", a)
         self._store("b", b)
         self._store("c", c)
-
-    @classmethod
-    def of(cls, x: int, y: int, z: int) -> "TriangleSides":
-        a, b, c = sorted((x, y, z))
-        return cls(a, b, c)
 
     def perimeter(self) -> int:
         return self.a + self.b + self.c

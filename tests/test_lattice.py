@@ -408,7 +408,9 @@ class TestRecords:
 
     def test_construction_validates(self):
         with pytest.raises(ValueError):
-            RectSides(3, 2)
+            RectSides(0, 2)
+        with pytest.raises(ValueError):
+            RectSides(2, 0)
         with pytest.raises(ValueError):
             TriangleSides(1, 2, 3)
         with pytest.raises(ValueError):

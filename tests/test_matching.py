@@ -327,9 +327,29 @@ class TestSearchReport:
         with pytest.raises(CertificateError):
             search_report("rectangles", bound)
 
-    def test_unknown_family_rejected(self):
+    @pytest.mark.parametrize(
+        "family, shown",
+        [
+            ("hexagons", "'hexagons'"),
+            (10**5000, "<16610-bit int>"),
+            (-(10**5000), "-<16610-bit int>"),
+            ([1], "[1]"),
+            ({"a": 1}, "{'a': 1}"),
+            ([10**5000], "<list>"),
+        ],
+        ids=["hexagons", "huge", "-huge", "list", "dict", "list-of-huge"],
+    )
+    def test_unknown_family_rejected(self, monkeypatch, family, shown):
+        """Any family outside FAMILIES, unhashable or too long to print
+        included, is refused with CertificateError before any search, and
+        read-back refuses a report that names it."""
+        d = {**canonical_report("tri search --max-perimeter 12 --format json"), "family": family}
+        calls = stub_searches(monkeypatch)
+        with pytest.raises(CertificateError, match=f"^unknown family: {re.escape(shown)}$"):
+            search_report(family, 10)
         with pytest.raises(CertificateError, match="unknown family"):
-            search_report("hexagons", 10)
+            report_from_dict(d)
+        assert calls == []
 
     @pytest.mark.parametrize(
         "family", ["rectangles", "triangles", "equable-rectangles", "equable-triangles"]

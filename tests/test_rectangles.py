@@ -5,6 +5,7 @@ from math import isqrt
 import pytest
 
 import amipoly.rectangles as rect_mod
+from amipoly.lattice import CertificateError
 from amipoly.rectangles import (
     RectAmicablePair,
     RectSides,
@@ -34,18 +35,21 @@ def as_tuples(pairs):
 
 class TestRectSides:
     def test_canonicalising_constructor(self):
-        assert RectSides.of(10, 2) == RectSides(2, 10)
+        r = RectSides(10, 2)
+        assert (r.short, r.long) == (2, 10)
+        assert r == RectSides(2, 10)
 
     def test_area_perimeter(self):
         r = RectSides(3, 6)
         assert r.area() == 18
         assert r.perimeter() == 18
 
-    def test_rejects_bad_order(self):
-        with pytest.raises(ValueError):
-            RectSides(10, 2)
-        with pytest.raises(ValueError):
+    def test_sorts_and_rejects_side_zero(self):
+        assert RectSides(10, 2) == RectSides(2, 10)
+        with pytest.raises(ValueError, match=r"^need 1 <= short <= long, got 0x5$"):
             RectSides(0, 5)
+        with pytest.raises(ValueError, match=r"^need 1 <= short <= long, got 0x5$"):
+            RectSides(5, 0)
 
 
 class TestPerimeterDominance:
@@ -292,7 +296,24 @@ class TestPairCertificates:
             RectAmicablePair(RectSides(4, 4), RectSides(4, 4))
 
     def test_unordered_storage(self):
-        p = RectAmicablePair.of(RectSides(7, 10), RectSides(1, 34))
+        p = RectAmicablePair(RectSides(7, 10), RectSides(1, 34))
+        assert p == RectAmicablePair(RectSides(1, 34), RectSides(7, 10))
         assert p.first == RectSides(1, 34)
-        with pytest.raises(ValueError):
-            RectAmicablePair(RectSides(7, 10), RectSides(1, 34))
+        assert p.second == RectSides(7, 10)
+
+    def test_failed_cross_equality_names_the_pair_in_stored_order(self):
+        with pytest.raises(CertificateError, match=r"^cross equalities fail for 1x34 and 2x35$"):
+            RectAmicablePair(RectSides(35, 2), RectSides(34, 1))
+
+    @pytest.mark.parametrize("first, second", THE_FIVE)
+    def test_order_never_matters(self, first, second):
+        """Either order of each side pair builds one RectSides, and either order
+        of the pair's rectangles one RectAmicablePair; a side of 0 still raises."""
+        for sides in (first, second):
+            assert RectSides(*sides[::-1]) == RectSides(*sides)
+            for zeroed in ((0, sides[1]), (sides[1], 0)):
+                with pytest.raises(ValueError):
+                    RectSides(*zeroed)
+        pair = RectAmicablePair(RectSides(*first), RectSides(*second))
+        assert RectAmicablePair(RectSides(*second[::-1]), RectSides(*first[::-1])) == pair
+        assert (pair.first, pair.second) == (RectSides(*first), RectSides(*second))

@@ -45,7 +45,9 @@ EMBEDDING_CASES = sorted((a, b, c) for a, b, c, _ in naive_heronian_triples(60))
 
 class TestTriangleSides:
     def test_constructor_sorts(self):
-        assert TriangleSides.of(26, 3, 25) == TriangleSides(3, 25, 26)
+        t = TriangleSides(26, 3, 25)
+        assert t.as_tuple() == (3, 25, 26)
+        assert t == TriangleSides(3, 25, 26)
 
     def test_triangle_inequality_strict(self):
         with pytest.raises(ValueError):
@@ -53,13 +55,25 @@ class TestTriangleSides:
         with pytest.raises(ValueError):
             TriangleSides(1, 2, 3)
 
-    def test_rejects_unsorted(self):
-        with pytest.raises(ValueError):
-            TriangleSides(5, 4, 3)
+    def test_sorts_and_rejects_side_zero(self):
+        assert TriangleSides(5, 4, 3) == TriangleSides(3, 4, 5)
+        for sides in ((0, 3, 4), (4, 0, 3), (4, 3, 0)):
+            with pytest.raises(ValueError, match=r"^sides must satisfy 1 <= a <= b <= c, got 0x3x4$"):
+                TriangleSides(*sides)
 
     def test_canonicalisation_idempotent(self):
-        t = TriangleSides.of(15, 9, 12)
-        assert TriangleSides.of(*t.as_tuple()) == t
+        t = TriangleSides(15, 9, 12)
+        assert TriangleSides(*t.as_tuple()) == t
+
+    @pytest.mark.parametrize("sides", EMBEDDING_CASES, ids=str)
+    def test_order_never_matters(self, sides):
+        """Every order of the sides builds the sorted record, and a side of 0 in
+        any position still raises."""
+        for order in itertools.permutations(sides):
+            assert TriangleSides(*order) == TriangleSides(*sides)
+        for zeroed in itertools.permutations((0, *sides[1:])):
+            with pytest.raises(ValueError):
+                TriangleSides(*zeroed)
 
 
 class TestHeron:
