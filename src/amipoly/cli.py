@@ -153,23 +153,22 @@ def cmd_tri_embed(sides: TriangleSides):
         row = [*sides.as_tuple(), "not-heronian", sixteen_area_sq]
         line = f"{sides}: not heronian (16*Area^2 = {sixteen_area_sq})"
         return EXIT_NO_RESULT, payload, [header, row], [line]
+    shape = ShapeRecord(heronian)
     emb = triangles.embed_triangle(heronian)
     vertices, twice, squared = emb.vertices, emb.twice_area(), emb.squared_sides()
     payload = {
-        "sides": list(sides.as_tuple()),
+        **shape.to_dict(),
         "status": "embedded",
-        "area": heronian.area,
-        "perimeter": heronian.perimeter(),
         "vertices": [list(p) for p in vertices],
         "twice_area": twice,
         "squared_sides": squared,
     }
     rows = [
         ["a", "b", "c", "x0", "y0", "x1", "y1", "x2", "y2", "twice_area"],
-        [*sides.as_tuple(), *(n for p in vertices for n in p), twice],
+        [*shape.sides, *(n for p in vertices for n in p), twice],
     ]
     lines = [
-        f"triangle: {sides}  (area {heronian.area}, perimeter {heronian.perimeter()})",
+        f"triangle: {shape.shape_id}  (area {shape.area}, perimeter {shape.perimeter})",
         "vertices: " + " ".join(f"({x},{y})" for x, y in vertices),
         f"twice area: {twice}",
         "squared sides: " + " ".join(str(s) for s in squared),

@@ -120,11 +120,9 @@ class LatticePolygon(Record):
             raise TypeError("lattice coordinates must be integers")
         if len(vertices) < 3:
             raise ValueError("a polygon needs at least 3 vertices")
-        n = len(vertices)
-        for i in range(n):
-            if vertices[i] == vertices[(i + 1) % n]:
-                raise ValueError("consecutive vertices must be distinct")
         self._store("vertices", vertices)
+        if any(p == q for p, q in self.edges()):
+            raise ValueError("consecutive vertices must be distinct")
 
     @classmethod
     def from_coords(cls, coords) -> "LatticePolygon":

@@ -2,8 +2,9 @@
 
 The solver reduces the amicability equations a*b = 2*(x + y) and
 2*(a + b) = x*y to a linear system in b and y, enumerates the finitely
-many divisor cases for short side 1 or 2, and is cross-checked by an
-exhaustive scan that uses nothing but the definition.
+many divisor cases for short side 1 or 2.  An oracle that matches on the
+cross equalities alone cross-checks it: it visits only rectangles of area
+<= 4 * max side and solves each one's partner from a quadratic.
 """
 
 from math import isqrt

@@ -7,6 +7,7 @@ import os
 import string
 import subprocess
 import sys
+from itertools import permutations
 from pathlib import Path
 
 import pytest
@@ -17,7 +18,7 @@ import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly import cli
 from amipoly.cli import main
-from amipoly.matching import assemble_report, report_from_dict
+from amipoly.matching import ShapeRecord, assemble_report, report_from_dict
 from amipoly.triangles import TriangleSides
 
 from test_golden import GOLDEN, GOLDEN_NO_RESULT
@@ -173,6 +174,30 @@ class TestTriEmbed:
         assert sorted(payload["squared_sides"]) == [9, 625, 676]
         assert payload["vertices"][0] == [0, 0]
         assert all(len(v) == 2 for v in payload["vertices"])
+
+    @pytest.mark.parametrize(
+        "triangle, first_line",
+        [
+            ((3, 25, 26), "triangle: 3x25x26  (area 36, perimeter 54)"),
+            ((9, 12, 15), "triangle: 9x12x15  (area 54, perimeter 36)"),
+        ],
+        ids=["3x25x26", "9x12x15"],
+    )
+    def test_any_order_prints_the_sorted_record(self, capsys, triangle, first_line):
+        """Whatever order the sides come in, json, csv and table print the
+        sorted triangle as its ShapeRecord holds it."""
+        shape = ShapeRecord(tri_mod.as_heronian(TriangleSides(*triangle))).to_dict()
+        for order in permutations(triangle):
+            argv = ["tri", "embed", *map(str, order)]
+            code, payload, _ = run_json(capsys, *argv, "--format", "json")
+            assert code == 0
+            assert {key: payload[key] for key in shape} == shape
+            code, out, _ = run_cli(capsys, *argv, "--format", "csv")
+            assert code == 0
+            assert out.splitlines()[1].split(",")[:3] == [str(s) for s in triangle]
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out.splitlines()[0] == first_line
 
     def test_not_heronian(self, capsys):
         code, payload, _ = run_json(capsys, "tri", "embed", "2", "3", "4", "--format", "json")
@@ -587,6 +612,20 @@ class TestProcessPath:
         script = f"import amipoly.cli, sys; {setup}; amipoly.cli.run()"
         return self.run(*argv, python=("-c", script), **env)
 
+    def peak_kb(self, *argv):
+        """Run argv through probe, require exit 0, and return the process and
+        its VmHWM in kB.  The child reads its own VmHWM; ru_maxrss would
+        report the parent's, inherited at exec."""
+        hwm = (
+            "import atexit; atexit.register(lambda: sys.stderr.write("
+            "next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))))"
+        )
+        proc = self.probe(hwm, *argv)
+        assert proc.returncode == 0
+        label, kb, unit = proc.stderr.split()
+        assert (label, unit) == (b"VmHWM:", b"kB")
+        return proc, int(kb)
+
     def test_run_keeps_atexit_handlers(self):
         marker = "import atexit; atexit.register(sys.stderr.write, 'atexit ran')"
         proc = self.probe(marker, "rect", "enumerate")
@@ -701,18 +740,19 @@ class TestProcessPath:
     @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from Linux's /proc")
     def test_rectangle_cap_peaks_below_40000_kb(self):
         """The rectangle oracle holds no table: at its cap the whole process,
-        interpreter included, peaks below 40,000 kB.  The child reads its own
-        VmHWM; ru_maxrss would report the parent's, inherited at exec."""
-        hwm = (
-            "import atexit; atexit.register(lambda: sys.stderr.write("
-            "next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))))"
-        )
-        proc = self.probe(hwm, "rect", "oracle", "--max-side", "20000", "--format", "json")
-        assert proc.returncode == 0
+        interpreter included, peaks below 40,000 kB."""
+        proc, kb = self.peak_kb("rect", "oracle", "--max-side", "20000", "--format", "json")
         assert json.loads(proc.stdout)["bound"] == 20000
-        label, kb, unit = proc.stderr.split()
-        assert (label, unit) == (b"VmHWM:", b"kB")
-        assert int(kb) < 40000
+        assert kb < 40000
+
+    @pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="VmHWM is read from Linux's /proc")
+    def test_triangle_cap_peaks_below_40000_kb(self):
+        """The heronian walk at the triangle cap finds 22,317 triangles, and
+        the whole process peaks below 40,000 kB, as at the rectangle cap."""
+        proc, kb = self.peak_kb("tri", "search", "--max-perimeter", "3000", "--format", "json")
+        payload = json.loads(proc.stdout)
+        assert (payload["bound"], payload["shapes_scanned"]) == (3000, 22317)
+        assert kb < 40000
 
     def test_console_script_is_run(self):
         """pyproject.toml's `amipoly` script and __main__ both call cli.run, so
