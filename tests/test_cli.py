@@ -1,5 +1,4 @@
 import ast
-import hashlib
 import importlib
 import inspect
 import json
@@ -11,17 +10,17 @@ from itertools import permutations
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import amipoly.rectangles as rect_mod
 import amipoly.triangles as tri_mod
 from amipoly import cli
-from amipoly.cli import main
-from amipoly.matching import ShapeRecord, assemble_report, report_from_dict
+from amipoly.cli import FLAG_RANGES, main
+from amipoly.matching import BOUNDS, FAMILIES, ShapeRecord, assemble_report, report_from_dict, search_report
 from amipoly.triangles import TriangleSides
 
-from test_golden import GOLDEN, GOLDEN_NO_RESULT
+from test_golden import GOLDEN, golden_path
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -589,6 +588,117 @@ class TestLongTokens:
         assert len(err.encode()) < 300
 
 
+NON_ASCII_DIGITS = ["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９"]  # Arabic-Indic and fullwidth; int() reads both
+
+
+def _spell(number: str, form: str, zeros: int) -> str:
+    negative, digits = number.startswith("-"), "0" * zeros + number.lstrip("-")
+    if form == "_":
+        digits = "_".join(digits)
+    elif form in NON_ASCII_DIGITS:
+        digits = digits.translate(str.maketrans("0123456789", form))
+    return ("-" if negative else "+" if form == "+" else "") + digits
+
+
+def int_tokens(values):
+    """values as tokens: plain, signed, with a leading zero, with "_" between
+    digits or in non-ASCII digits."""
+    forms = st.sampled_from(["", "+", "_", *NON_ASCII_DIGITS])
+    return st.builds(_spell, values.map(str), forms, st.sampled_from([0, 1]))
+
+
+# Ints past TOKEN_LIMIT's 40 digits (leading zeros count, "_" does not), and
+# one of 40; kept as text, as hypothesis cannot print an int of 4,301 digits.
+LONG_INTS = ["0" * 38 + "120", "9" * 40, "1" + "0" * 40, "1" + "0" * 5000, "-1" + "0" * 5000, "1_" * 3000 + "1"]
+
+# The greatest bound an example searches at, by side count.  The at-cap
+# searches, the triangle one over half a second, are GRAMMAR_CASES rows.
+SEARCHED = {3: 300, 2: 600}
+# Each flag's values in range, a bound at most SEARCHED's, and values it
+# refuses: below its least, one past its cap and over-long.
+FLAG_VALUES = {
+    flag: (int_tokens(ok), int_tokens(st.sampled_from(refused)) | st.sampled_from(LONG_INTS))
+    for flag, ok, refused in [
+        ("--max-perimeter", st.integers(3, SEARCHED[3]), [2, BOUNDS[3][1] + 1]),
+        ("--max-side", st.integers(1, SEARCHED[2]), [0, BOUNDS[2][1] + 1]),
+        ("-a", st.integers(1, 100), [0, -3]),
+        ("-x", st.integers(1, 100), [0, -3]),
+    ]
+}
+FLAG_VALUES["--format"] = (st.sampled_from(cli.FORMATS), st.sampled_from(["xml", "", "ｊｓｏｎ", "x" * 50]))
+# A word that is no flag is one of tri embed's sides, or the value of a bare
+# flag before it, so it is at most 300 or past both bound caps.
+free_ints = int_tokens(st.integers(-3, 300)) | st.sampled_from(
+    [str(BOUNDS[2][1] + 1), str(FLAG_RANGES["A B C"][1] + 1), *LONG_INTS]
+)
+stray_words = st.sampled_from(["-h", "--help", "--nope", "--max-s", "--", "-", "=", "extra", "", "é", "x" * 50])
+
+
+def valued(flag, values):
+    """flag with one of values, as one word (flag=value) or two."""
+    return values.map(lambda v: [flag, v]) | values.map(lambda v: [f"{flag}={v}"])
+
+
+def command_groups(key):
+    """key's command, then its ints in range, if it takes any, each of its flags
+    with a value in range or refused, and --format with one in range, in any order."""
+    _, flags, n_ints = cli.COMMANDS[key]
+    groups = st.tuples(
+        st.lists(int_tokens(st.integers(1, 300)), min_size=n_ints, max_size=n_ints),
+        *(valued(flag, st.one_of(*FLAG_VALUES[flag])) for flag in flags),
+        valued("--format", FLAG_VALUES["--format"][0]),
+    )
+    return groups.flatmap(st.permutations).map(lambda groups: [list(key), *groups])
+
+
+# A well-formed command, or a command or up to two command words followed by
+# any flags, with or without a value in range or out of it, ints and stray words.
+argvs = (
+    st.sampled_from(sorted(cli.COMMANDS)).flatmap(command_groups)
+    | st.builds(
+        lambda head, groups: [head, *groups],
+        st.sampled_from(sorted(cli.COMMANDS)).map(list)
+        | st.lists(st.sampled_from(sorted({word for key in cli.COMMANDS for word in key} | {"pentagons"})), max_size=2),
+        st.lists(
+            st.one_of(
+                *(valued(flag, st.one_of(*values)) | st.just([flag]) for flag, values in FLAG_VALUES.items()),
+                st.lists(free_ints, min_size=1, max_size=3),
+                stray_words.map(lambda word: [word]),
+            ),
+            max_size=4,
+        ),
+    )
+).map(lambda groups: [word for group in groups for word in group])
+
+
+class TestArgvContract:
+    # An example takes a few milliseconds; the deadline fails one that takes a hundred times that.
+    @settings(max_examples=200, deadline=500, suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(argvs)
+    def test_main_keeps_its_contract(self, capsys, monkeypatch, argv):
+        """main returns 0, 1, 2 or 3 and raises nothing; a usage error prints
+        nothing to stdout and ends stderr with its one error line; a report
+        printed as JSON reads back; and a bound past SEARCHED, one past a cap
+        included, is refused before any search."""
+
+        def bounded_search(family, bound):
+            assert bound is None or bound <= SEARCHED[FAMILIES[family][0]]
+            return search_report(family, bound)
+
+        monkeypatch.setattr(cli, "search_report", bounded_search)
+        code, out, err = run_cli(capsys, *argv)
+        assert code in (0, 1, 2, 3)
+        if code == 1:
+            assert out == ""
+            *usage, last = err.splitlines()
+            assert last.startswith("error: ")
+            assert not any(line.startswith("error:") for line in usage)
+        if code == 0 and out.startswith("{"):  # JSON, so argv[:2] named a command
+            payload = json.loads(out)
+            if getattr(cli.COMMANDS[tuple(argv[:2])][0], "func", None) is cli._search:
+                report_from_dict(payload)
+
+
 class TestProcessPath:
     """`python -m amipoly` (__main__, then cli.run) and `python -c` probes that
     call cli.run, which runs the atexit handlers, flushes stdio and ends the
@@ -640,7 +750,7 @@ class TestProcessPath:
         assert proc.returncode == 0
         report, ran, tail = proc.stdout.rpartition(b"atexit ran")
         assert (ran, tail) == (b"atexit ran", b"")
-        assert hashlib.sha256(report).hexdigest() == GOLDEN["verify all --format json"]
+        assert report == golden_path("verify all --format json").read_bytes()
 
     @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full to write to")
     def test_run_failed_flush_exits_120(self):
@@ -652,7 +762,7 @@ class TestProcessPath:
         )
         proc = self.probe(full, "rect", "enumerate", PYTHONUNBUFFERED="")
         assert proc.returncode == 120
-        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["rect enumerate"]
+        assert proc.stdout == golden_path("rect enumerate").read_bytes()
         assert b"Traceback" not in proc.stderr
 
     def test_run_skips_teardown(self):
@@ -683,7 +793,7 @@ class TestProcessPath:
     def test_verify_all_json(self, unbuffered):
         proc = self.run("verify", "all", "--format", "json", PYTHONUNBUFFERED=unbuffered)
         assert proc.returncode == 0
-        assert hashlib.sha256(proc.stdout).hexdigest() == GOLDEN["verify all --format json"]
+        assert proc.stdout == golden_path("verify all --format json").read_bytes()
 
     def test_unknown_flag_exits_one(self):
         assert self.run("verify", "all", "--no-such-flag").returncode == 1
@@ -814,7 +924,7 @@ def _strings(value):
 # Every golden argv without its --format, and the payloads with no pairs, with
 # nulls and of a triangle that is not heronian.
 EMITTER_ARGVS = sorted(
-    {command.partition(" --format")[0] for command in [*GOLDEN, *GOLDEN_NO_RESULT]}
+    {command.partition(" --format")[0] for command in GOLDEN}
     | {"tri search --max-perimeter 3", "rect solve -a 2 -x 2", "tri embed 2 3 4"}
 )
 ascii_words = st.text(string.ascii_letters + string.digits + "-", max_size=10)
